@@ -91,11 +91,19 @@ def canonical_certificate(graph: LabeledGraph) -> Certificate:
     """Return an isomorphism-invariant certificate of *graph*.
 
     Two labelled graphs are isomorphic iff their certificates are equal.
+    The certificate is computed once per graph state and cached in the
+    graph's :class:`~repro.graph.labeled_graph.GraphViews`.
     """
-    if graph.num_vertices == 0:
-        return ((), ())
-    initial = {v: (graph.label(v),) for v in graph.vertices()}
-    return _search(graph, initial)
+    views = graph.views()
+    certificate = views.certificate
+    if certificate is None:
+        if graph.num_vertices == 0:
+            certificate = ((), ())
+        else:
+            initial = {v: (graph.label(v),) for v in graph.vertices()}
+            certificate = _search(graph, initial)
+        views.certificate = certificate
+    return certificate
 
 
 def canonical_key(graph: LabeledGraph) -> str:

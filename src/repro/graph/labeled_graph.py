@@ -11,11 +11,20 @@ The implementation is a dict-of-sets adjacency structure optimised for the
 access patterns of the algorithms in this repository: neighbourhood
 iteration (VF2), degree queries (random walks, graphlet counting) and
 label lookups (coverage metrics, canonicalisation).
+
+Data derived from the structure — the edge list, the vertex and edge
+label multisets, the edge-label set and the canonical certificate — is
+computed once and kept in a single :class:`GraphViews` slot until the
+next mutation clears it.  Containment prefilters, label coverage and
+canonicalisation run hundreds of thousands of times per maintenance
+round against graphs that never change, so each would otherwise rebuild
+the same multisets on every call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping
+from types import MappingProxyType
 from typing import Any
 
 VertexId = Hashable
@@ -45,6 +54,52 @@ def normalize_edge_label(la: Label, lb: Label) -> EdgeLabel:
     return (la, lb) if la <= lb else (lb, la)
 
 
+class GraphViews:
+    """Read-only derived data of one :class:`LabeledGraph` state.
+
+    Built lazily by :meth:`LabeledGraph.views` and dropped by every
+    mutation.  ``edges`` is in the order :meth:`LabeledGraph.edges`
+    yields; the label multisets are read-only mappings.  ``certificate``
+    is filled on first use by
+    :func:`~repro.graph.canonical.canonical_certificate`.
+    """
+
+    __slots__ = (
+        "edges",
+        "vertex_labels",
+        "edge_labels",
+        "edge_label_set",
+        "certificate",
+    )
+
+    def __init__(
+        self, labels: dict[VertexId, Label], adj: dict[VertexId, set[VertexId]]
+    ) -> None:
+        seen: set[Edge] = set()
+        edges: list[Edge] = []
+        for u, nbrs in adj.items():
+            for v in nbrs:
+                key = edge_key(u, v)
+                if key not in seen:
+                    seen.add(key)
+                    edges.append(key)
+        vertex_labels: dict[Label, int] = {}
+        for label in labels.values():
+            vertex_labels[label] = vertex_labels.get(label, 0) + 1
+        edge_labels: dict[EdgeLabel, int] = {}
+        try:
+            for u, v in edges:
+                lab = normalize_edge_label(labels[u], labels[v])
+                edge_labels[lab] = edge_labels.get(lab, 0) + 1
+        except KeyError as exc:
+            raise GraphError(f"vertex {exc.args[0]!r} does not exist") from None
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.vertex_labels: Mapping[Label, int] = MappingProxyType(vertex_labels)
+        self.edge_labels: Mapping[EdgeLabel, int] = MappingProxyType(edge_labels)
+        self.edge_label_set: frozenset[EdgeLabel] = frozenset(edge_labels)
+        self.certificate: tuple | None = None
+
+
 class LabeledGraph:
     """An undirected simple graph with labelled vertices.
 
@@ -65,13 +120,29 @@ class LabeledGraph:
     ('C', 'O')
     """
 
-    __slots__ = ("name", "_labels", "_adj", "_num_edges")
+    __slots__ = ("name", "_labels", "_adj", "_num_edges", "_views")
+
+    #: The slots that make up a graph's state; ``_views`` is derived.
+    _STATE = ("name", "_labels", "_adj", "_num_edges")
 
     def __init__(self, name: str | None = None) -> None:
         self.name = name
         self._labels: dict[VertexId, Label] = {}
         self._adj: dict[VertexId, set[VertexId]] = {}
         self._num_edges = 0
+        self._views: GraphViews | None = None
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        # The same (dict state, slot state) pair default pickling of a
+        # slotted object produces, minus the derived cache: snapshots
+        # and checkpoints never carry it.
+        return None, {slot: getattr(self, slot) for slot in self._STATE}
+
+    def __setstate__(self, state: tuple[Any, dict[str, Any]]) -> None:
+        _, slots = state
+        for slot in self._STATE:
+            setattr(self, slot, slots[slot])
+        self._views = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -103,6 +174,13 @@ class LabeledGraph:
         clone._num_edges = self._num_edges
         return clone
 
+    def views(self) -> GraphViews:
+        """The cached derived data of the current state (do not mutate)."""
+        views = self._views
+        if views is None:
+            views = self._views = GraphViews(self._labels, self._adj)
+        return views
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -116,6 +194,7 @@ class LabeledGraph:
             return
         self._labels[vertex] = label
         self._adj[vertex] = set()
+        self._views = None
 
     def add_edge(self, u: VertexId, v: VertexId) -> None:
         """Add the undirected edge ``(u, v)``.  Both endpoints must exist."""
@@ -129,6 +208,7 @@ class LabeledGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._num_edges += 1
+        self._views = None
 
     def remove_edge(self, u: VertexId, v: VertexId) -> None:
         """Remove the undirected edge ``(u, v)``; missing edges are an error."""
@@ -137,6 +217,7 @@ class LabeledGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._num_edges -= 1
+        self._views = None
 
     def remove_vertex(self, vertex: VertexId) -> None:
         """Remove *vertex* and every incident edge."""
@@ -146,6 +227,7 @@ class LabeledGraph:
             self.remove_edge(vertex, neighbor)
         del self._adj[vertex]
         del self._labels[vertex]
+        self._views = None
 
     # ------------------------------------------------------------------
     # queries
@@ -177,13 +259,7 @@ class LabeledGraph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges, each reported once with a canonical key."""
-        seen: set[Edge] = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                key = edge_key(u, v)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+        return iter(self.views().edges)
 
     def neighbors(self, vertex: VertexId) -> set[VertexId]:
         try:
@@ -208,10 +284,7 @@ class LabeledGraph:
         return set(self._labels.values())
 
     def vertex_label_multiset(self) -> dict[Label, int]:
-        counts: dict[Label, int] = {}
-        for label in self._labels.values():
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        return dict(self.views().vertex_labels)
 
     def edge_label(self, u: VertexId, v: VertexId) -> EdgeLabel:
         if not self.has_edge(u, v):
@@ -219,14 +292,12 @@ class LabeledGraph:
         return normalize_edge_label(self._labels[u], self._labels[v])
 
     def edge_label_set(self) -> set[EdgeLabel]:
-        return {self.edge_label(u, v) for u, v in self.edges()}
+        # Inserted one by one in edge order, so the set iterates in the
+        # same order as one built while walking the edges.
+        return {label for label in self.views().edge_labels}
 
     def edge_label_multiset(self) -> dict[EdgeLabel, int]:
-        counts: dict[EdgeLabel, int] = {}
-        for u, v in self.edges():
-            lab = self.edge_label(u, v)
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
+        return dict(self.views().edge_labels)
 
     def density(self) -> float:
         """Graph density ``2|E| / (|V|(|V|-1))`` used in cognitive load."""
@@ -329,5 +400,5 @@ class LabeledGraph:
         degree_label = sorted(
             (self._labels[v], len(self._adj[v])) for v in self._labels
         )
-        edge_labels = sorted(self.edge_label_multiset().items())
+        edge_labels = sorted(self.views().edge_labels.items())
         return (self.num_vertices, self._num_edges, tuple(degree_label), tuple(edge_labels))

@@ -52,13 +52,12 @@ def invariant_prefilter(pattern: LabeledGraph, host: LabeledGraph) -> bool:
         return False
     if pattern.num_edges > host.num_edges:
         return False
+    pattern_views, host_views = pattern.views(), host.views()
     if not multiset_dominates(
-        pattern.vertex_label_multiset(), host.vertex_label_multiset()
+        pattern_views.vertex_labels, host_views.vertex_labels
     ):
         return False
-    return multiset_dominates(
-        pattern.edge_label_multiset(), host.edge_label_multiset()
-    )
+    return multiset_dominates(pattern_views.edge_labels, host_views.edge_labels)
 
 
 def prune_by_counts(

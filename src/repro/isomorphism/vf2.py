@@ -129,7 +129,7 @@ class VF2Matcher:
         pattern = self.pattern
         if pattern.num_vertices == 0:
             return []
-        host_label_counts = self.host.vertex_label_multiset()
+        host_label_counts = self.host.views().vertex_labels
 
         def rarity(vertex: VertexId) -> tuple:
             return (

@@ -119,25 +119,18 @@ class MultiScanSwapper:
         self.adaptive_kappa = adaptive_kappa
         self.sigma_initial = sigma_initial
         # Swap evaluation is O(γ³) pairwise GEDs per candidate; memoise
-        # both the canonical keys (by object id) and pairwise distances.
-        # The cache holds a strong reference to each graph so a recycled
-        # object id can never alias a stale key.
-        self._key_cache: dict[int, tuple[LabeledGraph, tuple]] = {}
+        # pairwise distances by certificate pair (each graph caches its
+        # own certificate).
         self._ged_cache: dict[tuple, float] = {}
         self._degraded_distances = 0
 
     # ------------------------------------------------------------------
     # scores and set-level quality
     # ------------------------------------------------------------------
-    def _canonical(self, pattern: LabeledGraph) -> tuple:
-        entry = self._key_cache.get(id(pattern))
-        if entry is None or entry[0] is not pattern:
-            entry = (pattern, canonical_certificate(pattern))
-            self._key_cache[id(pattern)] = entry
-        return entry[1]
-
     def _distance(self, first: LabeledGraph, second: LabeledGraph) -> float:
-        pair = tuple(sorted((self._canonical(first), self._canonical(second))))
+        pair = tuple(
+            sorted((canonical_certificate(first), canonical_certificate(second)))
+        )
         cached = self._ged_cache.get(pair)
         if cached is None:
             get_registry().counter("swap.ged_cache_misses").add(1)
@@ -207,7 +200,7 @@ class MultiScanSwapper:
         graphs = [p.graph for p in pattern_set] + list(candidates)
         unique: dict[tuple, LabeledGraph] = {}
         for graph in graphs:
-            unique.setdefault(self._canonical(graph), graph)
+            unique.setdefault(canonical_certificate(graph), graph)
         keys = sorted(unique)
         pairs = [
             (keys[i], keys[j])

@@ -63,12 +63,12 @@ def label_cover(
     pattern: LabeledGraph, graphs: Mapping[int, LabeledGraph]
 ) -> set[int]:
     """Graphs containing at least one edge label of *pattern*."""
-    wanted = pattern.edge_label_set()
-    covered: set[int] = set()
-    for graph_id, graph in graphs.items():
-        if graph.edge_label_set() & wanted:
-            covered.add(graph_id)
-    return covered
+    wanted = pattern.views().edge_label_set
+    return {
+        graph_id
+        for graph_id, graph in graphs.items()
+        if not wanted.isdisjoint(graph.views().edge_label_set)
+    }
 
 
 def label_coverage(
@@ -368,7 +368,7 @@ class CoverageOracle:
         return {
             graph_id
             for graph_id, graph in self._graphs.items()
-            if label in graph.edge_label_set()
+            if label in graph.views().edge_label_set
         }
 
     # ------------------------------------------------------------------

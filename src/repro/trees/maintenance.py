@@ -12,7 +12,11 @@ Sections 3.3 and 4.2; Lemmas 3.4 and 4.5):
    threshold); trees already pooled get their exact cover sets extended
    by containment tests against the new graphs only, and genuinely new
    trees get their historic cover computed by a single scan — the classic
-   CTMiningAdd merge;
+   CTMiningAdd merge.  The scan is filter-then-verify: support
+   anti-monotonicity bounds a new tree's historic cover by its subtrees'
+   covers (:class:`HistoricBound`), a tree that cannot reach the relaxed
+   threshold even with that bound is neither grown nor scanned, and every
+   other tree is verified only against its bound;
 3. on a batch deletion Δ⁻, cover sets simply shed the removed IDs — the
    CTMiningDelete step;
 4. closedness is recomputed inside the pool: a tree is non-closed iff an
@@ -30,13 +34,93 @@ closed trees at the original threshold, and ``frequent_edges()`` /
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 
-from ..graph.labeled_graph import LabeledGraph
+from ..graph.labeled_graph import EdgeLabel, LabeledGraph
 from ..isomorphism.matcher import contains
 from ..obs import get_registry
-from .canonical import TreeCode
+from .canonical import TreeCode, tree_certificate
 from .mining import DEFAULT_MAX_EDGES, MinedTree, TreeMiner
+
+
+class HistoricBound:
+    """Supersets of new trees' historic covers, for one CTMiningAdd.
+
+    The historic cover of a tree is the set of *old* graphs (those in
+    the database before Δ⁺) containing it.  Support is anti-monotone, so
+    it lies inside the historic cover of every subtree.  The superset of
+    a tree is therefore the intersection, over its leaf-deleted
+    subtrees, of either the subtree's pooled cover restricted to the old
+    graphs (exact, because pooled covers are) or the subtree's own
+    superset.  A one-edge tree's superset is the set of old graphs
+    holding its edge label.
+
+    Only anti-monotonicity is used: a subtree missing from the pool
+    just contributes its own superset, so the bound never depends on the
+    pool holding every frequent tree.  It does depend on pooled covers
+    being exact, which an embedding-cap hit breaks.
+
+    Parameters
+    ----------
+    pool:
+        The FCT pool, covers already extended over Δ⁺.
+    old_graphs:
+        The database before Δ⁺.
+    floor:
+        The relaxed minimum support count of the database after Δ⁺.
+    """
+
+    def __init__(
+        self,
+        pool: Mapping[TreeCode, MinedTree],
+        old_graphs: Mapping[int, LabeledGraph],
+        floor: int,
+    ) -> None:
+        self._pool = pool
+        self._old_graphs = old_graphs
+        self._old_ids = frozenset(old_graphs)
+        self.floor = floor
+        self._supersets: dict[TreeCode, set[int]] = {}
+        self._postings: dict[EdgeLabel, set[int]] | None = None
+
+    def superset(self, key: TreeCode, tree: LabeledGraph) -> set[int]:
+        """Old graph ids that may contain *tree* (canonical key *key*)."""
+        known = self._supersets.get(key)
+        if known is not None:
+            return known
+        pooled = self._pool.get(key)
+        if pooled is not None:
+            result = pooled.cover & self._old_ids
+        elif tree.num_edges == 1:
+            (u, v), = tree.edges()
+            result = self._edge_postings().get(tree.edge_label(u, v), set())
+        else:
+            result = None
+            for leaf in [v for v in tree.vertices() if tree.degree(v) == 1]:
+                subtree = tree.copy()
+                subtree.remove_vertex(leaf)
+                part = self.superset(tree_certificate(subtree), subtree)
+                result = part if result is None else result & part
+        self._supersets[key] = result
+        return result
+
+    def can_survive(self, tree: MinedTree) -> bool:
+        """True unless *tree* (covers over Δ⁺) must fall below the floor.
+
+        Every supertree of a tree that fails has a smaller Δ⁺ cover and
+        a smaller superset, so it fails too.
+        """
+        return len(tree.cover) + len(self.superset(tree.key, tree.tree)) >= (
+            self.floor
+        )
+
+    def _edge_postings(self) -> dict[EdgeLabel, set[int]]:
+        if self._postings is None:
+            self._postings = {}
+            for graph_id, graph in self._old_graphs.items():
+                for label in graph.views().edge_labels:
+                    self._postings.setdefault(label, set()).add(graph_id)
+        return self._postings
 
 
 class FCTSet:
@@ -51,6 +135,12 @@ class FCTSet:
     max_edges:
         Largest tree size mined (matches :class:`TreeMiner`).
     """
+
+    #: Whether every pooled cover is exact.  An embedding-cap hit makes
+    #: mined covers lower bounds, which :class:`HistoricBound` cannot use;
+    #: a rebuild resets it.  Pools revived from checkpoints that predate
+    #: the flag read this default and merge without the bound.
+    _covers_exact = False
 
     def __init__(
         self,
@@ -81,8 +171,8 @@ class FCTSet:
     def pool_size(self) -> int:
         return len(self._pool)
 
-    def _min_count(self, threshold: float) -> int:
-        count = self.db_size * threshold
+    def _min_count(self, threshold: float, db_size: int | None = None) -> int:
+        count = (self.db_size if db_size is None else db_size) * threshold
         rounded = int(count)
         return rounded if rounded == count else rounded + 1
 
@@ -134,8 +224,10 @@ class FCTSet:
                 self._graphs, self.relaxed_threshold, self.max_edges
             )
             self._pool = miner.mine()
+            self._covers_exact = not miner.cap_hit
         else:
             self._pool = {}
+            self._covers_exact = True
         self._recompute_closedness()
 
     def add_graphs(self, new_graphs: Mapping[int, LabeledGraph]) -> None:
@@ -143,10 +235,40 @@ class FCTSet:
 
         Existing pool trees are updated by containment tests against the
         *new graphs only*; trees discovered in Δ⁺ that are not yet pooled
-        get their historic cover from one scan over the old database.
+        get their historic cover from one filter-then-verify scan over
+        the old database.
         """
+        if self._add(new_graphs):
+            self._recompute_closedness()
+
+    def remove_graphs(self, graph_ids: Iterable[int]) -> None:
+        """CTMiningDelete: shed deleted IDs from every cover set."""
+        if self._remove(graph_ids):
+            self._recompute_closedness()
+
+    def apply(
+        self,
+        added: Mapping[int, LabeledGraph] | None = None,
+        removed: Iterable[int] | None = None,
+    ) -> None:
+        """Apply a batch update (deletions first, as in Algorithm 1).
+
+        Closedness is recomputed once, after both halves.
+        """
+        changed = False
+        if removed:
+            changed = self._remove(removed)
+        if added:
+            changed = self._add(added) or changed
+        if changed:
+            self._recompute_closedness()
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _add(self, new_graphs: Mapping[int, LabeledGraph]) -> bool:
         if not new_graphs:
-            return
+            return False
         duplicate_ids = set(new_graphs) & set(self._graphs)
         if duplicate_ids:
             raise ValueError(f"graph ids already present: {sorted(duplicate_ids)}")
@@ -158,55 +280,67 @@ class FCTSet:
                 containment_tests += 1
                 if contains(graph, entry.tree):
                     entry.cover.add(graph_id)
-        # 2. Mine Δ⁺ at the relaxed threshold and merge novel trees.
-        delta_miner = TreeMiner(
-            new_graphs, self.relaxed_threshold, self.max_edges
+        # 2. Mine Δ⁺ at the relaxed threshold, growing only trees that
+        #    can still be frequent in D ∪ Δ⁺, and merge novel trees.
+        floor = self._min_count(
+            self.relaxed_threshold, len(old_graphs) + len(new_graphs)
         )
-        for key, mined in delta_miner.mine().items():
+        bound = (
+            HistoricBound(self._pool, old_graphs, floor)
+            if self._covers_exact
+            else None
+        )
+        delta_miner = TreeMiner(new_graphs, self.relaxed_threshold, self.max_edges)
+        mined = delta_miner.mine(bound.can_survive if bound else None)
+        if bound is not None and delta_miner.cap_hit:
+            # Capped Δ⁺ covers are lower bounds, so the bound may have
+            # stopped growth a full mine would have done: mine again.
+            delta_miner = TreeMiner(
+                new_graphs, self.relaxed_threshold, self.max_edges
+            )
+            mined = delta_miner.mine()
+        if delta_miner.cap_hit or delta_miner.degraded:
+            bound = None
+        bound_skips = 0
+        for key, tree in mined.items():
             if key in self._pool:
                 continue  # cover already extended in step 1
-            containment_tests += len(old_graphs)
-            historic_cover = {
+            scan: Collection[int] = old_graphs
+            if bound is not None:
+                if not bound.can_survive(tree):
+                    bound_skips += 1  # _prune would drop it
+                    continue
+                superset = bound.superset(key, tree.tree)
+                scan = [graph_id for graph_id in old_graphs if graph_id in superset]
+            containment_tests += len(scan)
+            tree.cover |= {
                 graph_id
-                for graph_id, graph in old_graphs.items()
-                if contains(graph, mined.tree)
+                for graph_id in scan
+                if contains(old_graphs[graph_id], tree.tree)
             }
-            mined.cover |= historic_cover
-            self._pool[key] = mined
-        get_registry().counter("fct.containment_tests").add(containment_tests)
+            self._pool[key] = tree
+        registry = get_registry()
+        registry.counter("fct.containment_tests").add(containment_tests)
+        registry.counter("fct.bound_skips").add(bound_skips)
+        self._covers_exact = self._covers_exact and not delta_miner.cap_hit
         self._graphs.update(new_graphs)
         self._prune()
-        self._recompute_closedness()
+        return True
 
-    def remove_graphs(self, graph_ids: Iterable[int]) -> None:
-        """CTMiningDelete: shed deleted IDs from every cover set."""
+    def _remove(self, graph_ids: Iterable[int]) -> bool:
         removed = set(graph_ids)
         missing = removed - set(self._graphs)
         if missing:
             raise ValueError(f"graph ids not present: {sorted(missing)}")
         if not removed:
-            return
+            return False
         for graph_id in removed:
             del self._graphs[graph_id]
         for entry in self._pool.values():
             entry.cover -= removed
         self._prune()
-        self._recompute_closedness()
+        return True
 
-    def apply(
-        self,
-        added: Mapping[int, LabeledGraph] | None = None,
-        removed: Iterable[int] | None = None,
-    ) -> None:
-        """Apply a batch update (deletions first, as in Algorithm 1)."""
-        if removed:
-            self.remove_graphs(removed)
-        if added:
-            self.add_graphs(added)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
     def _prune(self) -> None:
         minimum = self._min_count(self.relaxed_threshold)
         self._pool = {

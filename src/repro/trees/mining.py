@@ -22,7 +22,7 @@ whenever the per-graph embedding cap is not hit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from ..exceptions import ResilienceError
@@ -157,6 +157,9 @@ class TreeMiner:
         children: dict[TreeCode, MinedTree] = {}
         pattern = parent.tree
         new_vertex = pattern.num_vertices  # vertices are 0..n-1
+        # A child is fixed by where the pendant edge attaches and the new
+        # vertex's label, so each pair is built and canonicalised once.
+        child_keys: dict[tuple[int, str], TreeCode] = {}
         for graph_id in parent.cover:
             host = self._graphs[graph_id]
             embeddings = find_embeddings(
@@ -169,26 +172,38 @@ class TreeMiner:
                 used = set(embedding.values())
                 for pattern_vertex, host_vertex in embedding.items():
                     for neighbor in host.neighbors(host_vertex) - used:
-                        grown = pattern.copy()
-                        grown.add_vertex(new_vertex, host.label(neighbor))
-                        grown.add_edge(pattern_vertex, new_vertex)
-                        key = tree_certificate(grown)
-                        entry = children.get(key)
-                        if entry is None:
-                            entry = MinedTree(tree=grown.relabeled(), key=key)
-                            children[key] = entry
+                        label = host.label(neighbor)
+                        key = child_keys.get((pattern_vertex, label))
+                        if key is None:
+                            grown = pattern.copy()
+                            grown.add_vertex(new_vertex, label)
+                            grown.add_edge(pattern_vertex, new_vertex)
+                            key = tree_certificate(grown)
+                            child_keys[pattern_vertex, label] = key
+                            if key not in children:
+                                children[key] = MinedTree(
+                                    tree=grown.relabeled(), key=key
+                                )
                         if key not in seen_local:
-                            entry.cover.add(graph_id)
+                            children[key].cover.add(graph_id)
                             seen_local.add(key)
         return children
 
     # ------------------------------------------------------------------
-    def mine(self) -> dict[TreeCode, MinedTree]:
+    def mine(
+        self, grow_filter: Callable[[MinedTree], bool] | None = None
+    ) -> dict[TreeCode, MinedTree]:
         """Mine all frequent trees up to ``max_edges``, closedness marked.
 
         Returns a mapping canonical key → :class:`MinedTree` whose
         ``closed`` flags implement the TreeNat rule: a frequent tree is
         kept closed unless some one-edge supertree matches its support.
+
+        *grow_filter*, when given, is asked about every frequent tree
+        below the ``max_edges`` frontier, level by level; a tree it
+        rejects is returned but not extended.  The caller must only
+        reject trees none of whose supertrees it wants.  Closedness
+        flags are then meaningless for the rejected trees.
 
         Mining is *anytime*: if the ambient budget expires mid-growth
         the trees mined so far are returned (a valid, possibly
@@ -212,6 +227,8 @@ class TreeMiner:
                 for key, tree in level.items():
                     frequent[key] = tree
                     if tree.num_edges >= self.max_edges:
+                        continue
+                    if grow_filter is not None and not grow_filter(tree):
                         continue
                     for child_key, child in self._grow(tree).items():
                         entry = next_candidates.get(child_key)

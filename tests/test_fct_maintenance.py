@@ -4,9 +4,21 @@ The gold standard throughout: maintained state must match mining from
 scratch on the updated database (same FCTs, same supports).
 """
 
-import pytest
+import functools
+import random
+from unittest import mock
 
-from repro.trees import FCTSet
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.check.fuzz import random_connected_pattern
+from repro.isomorphism import contains
+from repro.isomorphism.matcher import find_embeddings
+from repro.obs import get_registry
+from repro.resilience.budget import Budget, use_budget
+from repro.trees import FCTSet, MinedTree, TreeMiner, maintenance
+from repro.trees.canonical import tree_certificate
 
 from .conftest import make_graph
 
@@ -161,3 +173,225 @@ class TestMixedAndSequences:
         before = fct_snapshot(fct_set)
         fct_set.rebuild()
         assert fct_snapshot(fct_set) == before
+
+
+# ----------------------------------------------------------------------
+# CTMiningAdd against an unbounded reference
+# ----------------------------------------------------------------------
+def min_count(db_size: int, threshold: float) -> int:
+    count = db_size * threshold
+    return int(count) if int(count) == count else int(count) + 1
+
+
+def reference_add(fct_set, new_graphs, miner=TreeMiner):
+    """Literal CTMiningAdd: no bound, every novel tree scans all of D.
+
+    Returns the pool (key → MinedTree) *fct_set* should hold after
+    ``add_graphs(new_graphs)``; *fct_set* itself is not touched.
+    """
+    old_graphs = dict(fct_set._graphs)
+    relaxed = fct_set.relaxed_threshold
+    pool = {
+        key: MinedTree(tree=t.tree, key=key, cover=set(t.cover))
+        for key, t in fct_set._pool.items()
+    }
+    for entry in pool.values():
+        for graph_id, graph in new_graphs.items():
+            if contains(graph, entry.tree):
+                entry.cover.add(graph_id)
+    mined = miner(new_graphs, relaxed, fct_set.max_edges).mine()
+    for key, tree in mined.items():
+        if key not in pool:
+            tree.cover |= {
+                graph_id
+                for graph_id, graph in old_graphs.items()
+                if contains(graph, tree.tree)
+            }
+            pool[key] = tree
+    minimum = min_count(len(old_graphs) + len(new_graphs), relaxed)
+    pool = {
+        key: t
+        for key, t in pool.items()
+        if t.support_count >= minimum and t.support_count > 0
+    }
+    for entry in pool.values():
+        entry.closed = not any(
+            other.num_edges == entry.num_edges + 1
+            and other.support_count == entry.support_count
+            and contains(other.tree, entry.tree)
+            for other in pool.values()
+        )
+    return pool
+
+
+def pool_state(pool) -> list[tuple]:
+    """Keys in pool order with covers, closed flags and representatives."""
+    return [
+        (
+            repr(key),
+            sorted(t.cover),
+            t.closed,
+            sorted(t.tree.labels().items()),
+            sorted(t.tree.edges()),
+        )
+        for key, t in pool.items()
+    ]
+
+
+def random_batch(rng: random.Random, first_id: int, count: int) -> dict:
+    return {
+        first_id + i: random_connected_pattern(
+            rng, min_edges=1, max_edges=6, labels="CNO"
+        )
+        for i in range(count)
+    }
+
+
+class TestBoundedAdd:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.2, 0.4, 0.6]),
+        st.sampled_from([3, 4]),
+        st.sampled_from([None, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unbounded_reference(self, seed, sup_min, max_edges, cap):
+        miner = TreeMiner
+        if cap is not None:
+            miner = functools.partial(TreeMiner, embedding_cap=cap)
+        rng = random.Random(seed)
+        live = random_batch(rng, 0, rng.randint(3, 10))
+        with mock.patch.object(maintenance, "TreeMiner", miner):
+            fct_set = FCTSet(live, sup_min=sup_min, max_edges=max_edges)
+            next_id = len(live)
+            for _ in range(3):
+                victims = rng.sample(
+                    sorted(live), rng.randint(0, len(live) // 3)
+                )
+                fct_set.remove_graphs(victims)
+                for victim in victims:
+                    del live[victim]
+                batch = random_batch(rng, next_id, rng.randint(1, 6))
+                next_id += len(batch)
+                expected = reference_add(fct_set, batch, miner=miner)
+                fct_set.add_graphs(batch)
+                live.update(batch)
+                assert pool_state(fct_set._pool) == pool_state(expected)
+
+    def test_bound_skips_novel_trees(self, graphs, fct_set):
+        # S-N is frequent in Δ⁺ (3 of 10 graphs, relaxed count 2) but no
+        # old graph has that edge label, so it cannot reach the relaxed
+        # count of 4 over 19 graphs: skipped without a historic scan.
+        batch = {
+            100 + i: make_graph("CSN", [(0, 1), (1, 2)]) for i in range(3)
+        }
+        batch.update({103 + i: make_graph("CO", [(0, 1)]) for i in range(7)})
+        expected = reference_add(fct_set, batch)
+        registry = get_registry()
+        before = registry.counter("fct.bound_skips").value
+        fct_set.add_graphs(batch)
+        assert registry.counter("fct.bound_skips").value > before
+        assert pool_state(fct_set._pool) == pool_state(expected)
+
+    def test_embedding_cap_hit_falls_back(self, graphs, fct_set, monkeypatch):
+        filtered = []
+
+        class CappedMiner(TreeMiner):
+            def __init__(self, *args):
+                super().__init__(*args, embedding_cap=2)
+
+            def mine(self, grow_filter=None):
+                filtered.append(grow_filter is not None)
+                return super().mine(grow_filter)
+
+        monkeypatch.setattr(maintenance, "TreeMiner", CappedMiner)
+        # A C with four O neighbours embeds C-O four times: over the cap.
+        stars = {
+            100 + i: make_graph("COOOO", [(0, 1), (0, 2), (0, 3), (0, 4)])
+            for i in range(4)
+        }
+        expected = reference_add(fct_set, stars, miner=CappedMiner)
+        filtered.clear()
+        fct_set.add_graphs(stars)
+        assert filtered == [True, False]  # the bounded mine is redone
+        assert pool_state(fct_set._pool) == pool_state(expected)
+        assert not fct_set._covers_exact
+        # Later merges stay unbounded until a rebuild.
+        later = {200 + i: graph for i, graph in enumerate(DELTA.values())}
+        expected = reference_add(fct_set, later, miner=CappedMiner)
+        filtered.clear()
+        fct_set.add_graphs(later)
+        assert filtered == [False]
+        assert pool_state(fct_set._pool) == pool_state(expected)
+
+    def test_budget_expiring_mid_delta_mine_falls_back(
+        self, graphs, fct_set, monkeypatch
+    ):
+        budget = Budget()
+        can_survive = maintenance.HistoricBound.can_survive
+
+        def expire_after_first_level(self, tree):
+            budget.exhaust("test")
+            return can_survive(self, tree)
+
+        monkeypatch.setattr(
+            maintenance.HistoricBound, "can_survive", expire_after_first_level
+        )
+        batch = {
+            100 + i: make_graph("COSN", [(0, 1), (0, 2), (2, 3)])
+            for i in range(5)
+        }
+        degradations = get_registry().counter("resilience.degradations")
+        before = degradations.value
+        with use_budget(budget):
+            fct_set.add_graphs(batch)
+        assert degradations.value == before + 1
+        merged = dict(graphs)
+        merged.update(batch)
+        for tree in fct_set.pool():
+            assert tree.cover == {
+                graph_id
+                for graph_id, graph in merged.items()
+                if contains(graph, tree.tree)
+            }
+
+
+# ----------------------------------------------------------------------
+# TreeMiner._grow child memo
+# ----------------------------------------------------------------------
+def naive_grow(miner: TreeMiner, parent: MinedTree) -> dict:
+    """``_grow`` without the (pattern vertex, label) memo."""
+    children = {}
+    pattern = parent.tree
+    new_vertex = pattern.num_vertices
+    for graph_id in parent.cover:
+        host = miner._graphs[graph_id]
+        seen_local = set()
+        for embedding in find_embeddings(host, pattern, limit=miner.embedding_cap):
+            used = set(embedding.values())
+            for pattern_vertex, host_vertex in embedding.items():
+                for neighbor in host.neighbors(host_vertex) - used:
+                    grown = pattern.copy()
+                    grown.add_vertex(new_vertex, host.label(neighbor))
+                    grown.add_edge(pattern_vertex, new_vertex)
+                    key = tree_certificate(grown)
+                    entry = children.get(key)
+                    if entry is None:
+                        entry = MinedTree(tree=grown.relabeled(), key=key)
+                        children[key] = entry
+                    if key not in seen_local:
+                        entry.cover.add(graph_id)
+                        seen_local.add(key)
+    return children
+
+
+class TestGrowMemo:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_memoised_grow_matches_naive(self, seed):
+        rng = random.Random(seed)
+        miner = TreeMiner(random_batch(rng, 0, 6), 0.3, max_edges=4)
+        for parent in miner.mine().values():
+            assert pool_state(miner._grow(parent)) == pool_state(
+                naive_grow(miner, parent)
+            )

@@ -26,6 +26,7 @@ import pytest
 from repro import api
 from repro.datasets import aids_like, family_injection
 from repro.exceptions import JournalCorruption, JournalError
+from repro.graph.canonical import canonical_certificate
 from repro.journal import (
     Journal,
     iter_frames,
@@ -229,6 +230,32 @@ class TestCheckpoint:
         # retention: only the newest few checkpoint files survive
         remaining = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
         assert len(remaining) <= 2
+
+    def test_graph_caches_stay_out_of_snapshots_and_checkpoints(
+        self, tmp_path
+    ):
+        midas = make_midas()
+        graphs = list(midas.database.graphs()) + midas.pattern_graphs()
+        for graph in graphs:
+            canonical_certificate(graph)
+        snapshot = midas._snapshot_state()
+        assert all(g._views is None for g in snapshot["database"].graphs())
+        write_checkpoint(
+            tmp_path,
+            checkpoint_id=0,
+            midas=midas,
+            version=1,
+            last_update_id=0,
+            next_update_id=1,
+        )
+        revived = load_latest_checkpoint(tmp_path).midas
+        revived_graphs = (
+            list(revived.database.graphs()) + revived.pattern_graphs()
+        )
+        assert all(g._views is None for g in revived_graphs)
+        assert [canonical_certificate(g) for g in revived_graphs] == [
+            canonical_certificate(g) for g in graphs
+        ]
 
     def test_invalid_latest_falls_back(self, tmp_path):
         midas = make_midas()

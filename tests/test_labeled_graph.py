@@ -1,8 +1,14 @@
 """Unit tests for repro.graph.labeled_graph."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
+from repro.check.fuzz import random_labeled_graph
 from repro.graph import GraphError, LabeledGraph, edge_key, normalize_edge_label
+from repro.graph.canonical import canonical_certificate
 
 from .conftest import make_graph
 
@@ -199,3 +205,133 @@ class TestStructure:
 
     def test_signature_distinguishes_sizes(self, triangle, path3):
         assert triangle.signature() != path3.signature()
+
+
+# ----------------------------------------------------------------------
+# derived-data cache
+# ----------------------------------------------------------------------
+def edges_by_walk(graph: LabeledGraph) -> list:
+    """The edge order of an adjacency walk, as ``edges()`` reports it."""
+    seen, order = set(), []
+    for u in graph._adj:
+        for v in graph._adj[u]:
+            key = edge_key(u, v)
+            if key not in seen:
+                seen.add(key)
+                order.append(key)
+    return order
+
+
+def derived(graph: LabeledGraph) -> tuple:
+    """Every cached quantity, recomputed through the public methods."""
+    return (
+        list(graph.edges()),
+        graph.vertex_label_multiset(),
+        graph.edge_label_multiset(),
+        graph.edge_label_set(),
+        canonical_certificate(graph),
+    )
+
+
+def fresh(graph: LabeledGraph) -> tuple:
+    """The same quantities of an uncached graph with the same content."""
+    clone = pickle.loads(pickle.dumps(graph))
+    assert clone._views is None
+    return derived(clone)
+
+
+#: ``LabeledGraph.from_edges({0: "C", 1: "O", 2: "N"}, [(0, 1), (1, 2)],
+#: name="g")`` pickled by the code before the cache slot existed.
+LEGACY_PICKLE = (
+    b"\x80\x05\x95\x98\x00\x00\x00\x00\x00\x00\x00\x8c\x19repro.graph."
+    b"labeled_graph\x94\x8c\x0cLabeledGraph\x94\x93\x94)\x81\x94N}\x94("
+    b"\x8c\x04name\x94\x8c\x01g\x94\x8c\x07_labels\x94}\x94(K\x00\x8c\x01C"
+    b"\x94K\x01\x8c\x01O\x94K\x02\x8c\x01N\x94u\x8c\x04_adj\x94}\x94(K\x00"
+    b"\x8f\x94(K\x01\x90K\x01\x8f\x94(K\x00K\x02\x90K\x02\x8f\x94(K\x01\x90u"
+    b"\x8c\n_num_edges\x94K\x02u\x86\x94b."
+)
+
+
+class TestDerivedCache:
+    MUTATIONS = {
+        "add_vertex": lambda g: g.add_vertex(9, "S"),
+        "add_edge": lambda g: g.add_edge(0, 2),
+        "remove_edge": lambda g: g.remove_edge(0, 1),
+        "remove_vertex": lambda g: g.remove_vertex(3),
+        "remove_isolated_vertex": lambda g: (
+            g.add_vertex(8, "N"),
+            derived(g),
+            g.remove_vertex(8),
+        ),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_every_mutator_invalidates(self, mutation):
+        g = make_graph("CONC", [(0, 1), (1, 2), (2, 3)])
+        derived(g)
+        assert g._views is not None
+        self.MUTATIONS[mutation](g)
+        assert derived(g) == fresh(g)
+
+    def test_noop_mutations_keep_cache(self):
+        g = make_graph("CO", [(0, 1)])
+        views = g.views()
+        g.add_vertex(0, "C")
+        g.add_edge(1, 0)
+        assert g.views() is views
+
+    def test_copy_is_independent(self):
+        g = make_graph("CON", [(0, 1), (1, 2)])
+        before = derived(g)
+        clone = g.copy()
+        clone.add_edge(0, 2)
+        clone.add_vertex(7, "S")
+        assert derived(g) == before
+        assert derived(clone) == fresh(clone)
+        g.remove_edge(0, 1)
+        assert derived(clone) == fresh(clone)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_edge_order_matches_adjacency_walk(self, seed):
+        rng = random.Random(seed)
+        g = random_labeled_graph(rng, max_vertices=9, edge_probability=0.5)
+        assert list(g.edges()) == edges_by_walk(g)
+        for u, v in rng.sample(edges_by_walk(g), g.num_edges // 2):
+            g.remove_edge(u, v)
+        assert list(g.edges()) == edges_by_walk(g)
+
+    def test_returned_collections_cannot_corrupt_cache(self):
+        g = make_graph("COO", [(0, 1), (0, 2)])
+        before = derived(g)
+        g.vertex_label_multiset()["C"] = 99
+        g.edge_label_multiset()[("C", "O")] = 99
+        g.edge_label_set().add(("N", "N"))
+        g.labels()[0] = "S"
+        edges = g.edges()
+        next(edges)
+        assert derived(g) == before
+        with pytest.raises(TypeError):
+            g.views().edge_labels[("C", "O")] = 0
+
+    def test_pickle_and_deepcopy_drop_cache(self):
+        g = make_graph("CON", [(0, 1), (1, 2)])
+        cold = pickle.dumps(g)
+        derived(g)
+        assert pickle.dumps(g) == cold
+        clone = copy.deepcopy(g)
+        assert clone._views is None
+        assert derived(clone) == derived(g)
+
+    def test_legacy_pickle_loads_with_empty_cache(self):
+        g = pickle.loads(LEGACY_PICKLE)
+        assert g._views is None
+        assert g.name == "g"
+        assert g.labels() == {0: "C", 1: "O", 2: "N"}
+        assert sorted(g.edges()) == [(0, 1), (1, 2)]
+        rebuilt = LabeledGraph.from_edges(
+            {0: "C", 1: "O", 2: "N"}, [(0, 1), (1, 2)], name="g"
+        )
+        rebuilt.views()
+        assert pickle.dumps(rebuilt, protocol=pickle.HIGHEST_PROTOCOL) == (
+            LEGACY_PICKLE
+        )
