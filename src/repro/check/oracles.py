@@ -48,6 +48,7 @@ from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..index.maintenance import IndexPair
 from ..isomorphism.matcher import contains, count_embeddings
+from ..midas.pruning import PruningContext
 from ..parallel.pool import shared_pool, use_pool
 from ..patterns.metrics import CoverageOracle
 from ..serve.snapshot import SnapshotStore, build_snapshot
@@ -520,6 +521,99 @@ def index_oracle(workload: Workload) -> Mismatch | None:
     return None
 
 
+def _literal_promising(
+    fresh: CoverageOracle,
+    displayed: list[LabeledGraph],
+    candidates: list[LabeledGraph],
+    kappa: float,
+) -> list[bool]:
+    """Definition 5.5 transcribed: full covers on a fresh oracle.
+
+    ``|G_scov(c) ∖ ⋃ G_scov(P)| ≥ max((1 + κ) · min_p |unique(p)|, 1)``.
+    """
+    covers = [fresh.cover(pattern) for pattern in displayed]
+    union = frozenset().union(*covers)
+    uniques = [
+        len(cover - frozenset().union(*(covers[:i] + covers[i + 1 :])))
+        for i, cover in enumerate(covers)
+    ]
+    threshold = max((1.0 + kappa) * min(uniques, default=0), 1.0)
+    return [
+        len(fresh.cover(candidate) - union) >= threshold
+        for candidate in candidates
+    ]
+
+
+def prune_oracle(workload: Workload) -> Mismatch | None:
+    """Promising-candidate decisions vs literal Definition 5.5 per view.
+
+    The first half of the workload's patterns is the displayed set and
+    every pattern is a candidate.  ``PruningContext.is_promising`` —
+    with and without an FCT/IFE :class:`IndexPair`, with the coverage
+    engine on and off, and on an engine oracle maintained across the
+    batches — must decide exactly as the literal transcription on a
+    fresh full-scan oracle, and must leave complete covers behind.
+    """
+    patterns = list(workload.patterns)
+    displayed = patterns[: max(1, len(patterns) // 2)]
+    with use_covindex(True):
+        maintained = CoverageOracle(dict(workload.graphs))
+    for step, view in enumerate(workload.views()):
+        if step > 0:
+            batch = workload.batches[step - 1]
+            maintained.apply_update(batch.added, batch.removed)
+        with use_covindex(False):
+            fresh = CoverageOracle(view)
+        pair = (
+            IndexPair.build(FCTSet(view, sup_min=FCT_SUP_MIN), view)
+            if view
+            else None
+        )
+        variants = [("maintained_engine", maintained, None)]
+        for engine in (False, True):
+            for indexed in (None, pair):
+                with use_covindex(engine):
+                    oracle = CoverageOracle(view, index_pair=indexed)
+                label = (
+                    f"engine={'on' if engine else 'off'},"
+                    f"index={'on' if indexed is not None else 'off'}"
+                )
+                variants.append((label, oracle, indexed))
+        for kappa in (0.0, 0.5):
+            want = _literal_promising(fresh, displayed, patterns, kappa)
+            for label, oracle, indexed in variants:
+                context = PruningContext(
+                    oracle, displayed, kappa, index_pair=indexed
+                )
+                got = [context.is_promising(c) for c in patterns]
+                if got != want:
+                    return Mismatch(
+                        "prune",
+                        "decision_mismatch",
+                        {
+                            "view": step,
+                            "variant": label,
+                            "kappa": kappa,
+                            "pruning": got,
+                            "literal": want,
+                        },
+                    )
+                for i, candidate in enumerate(patterns):
+                    if oracle.cover(candidate) != fresh.cover(candidate):
+                        return Mismatch(
+                            "prune",
+                            "cover_after_prune",
+                            {
+                                "view": step,
+                                "variant": label,
+                                "pattern": i,
+                                "cover": sorted(oracle.cover(candidate)),
+                                "full_scan": sorted(fresh.cover(candidate)),
+                            },
+                        )
+    return None
+
+
 # ----------------------------------------------------------------------
 # metamorphic oracles
 # ----------------------------------------------------------------------
@@ -957,6 +1051,19 @@ ORACLES: dict[str, Oracle] = {
                 "max_graph_vertices": 8,
                 "num_batches": 2,
                 "max_deletion_fraction": 0.3,
+            },
+        ),
+        Oracle(
+            "prune",
+            "promising-candidate test (marginal hosts only, early "
+            "exits) vs literal Definition 5.5 on fresh full covers, "
+            "with and without an IndexPair and the coverage engine",
+            prune_oracle,
+            {
+                "num_graphs": 6,
+                "max_graph_vertices": 8,
+                "num_patterns": 6,
+                "num_batches": 2,
             },
         ),
         Oracle(

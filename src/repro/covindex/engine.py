@@ -279,7 +279,7 @@ class CoverageEngine:
 
     def __getstate__(self):
         # The cached filter_ns counter carries a lock — drop it when
-        # the engine is copied/pickled (maintenance snapshots deepcopy
+        # the engine is copied/pickled (maintenance snapshots pickle
         # engine state); it repopulates on the next timed section.
         state = self.__dict__.copy()
         state["_filter_ns_cache"] = None

@@ -428,7 +428,7 @@ class CoverageIndex:
 
     def __getstate__(self):
         # Counter objects carry locks — drop the cache when the index
-        # is copied/pickled (maintenance snapshots deepcopy engines);
+        # is copied/pickled (maintenance snapshots pickle engines);
         # it repopulates on the next filter query.
         state = self.__dict__.copy()
         state["_counter_cache"] = None

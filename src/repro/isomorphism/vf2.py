@@ -74,10 +74,7 @@ class VF2Matcher:
         self.induced = induced
         self._node_match = node_match or (lambda a, b: a == b)
         self._domains = domains
-        # Candidate order: most-constrained pattern vertices first
-        # (high degree, rare label), then connectivity order so each new
-        # vertex is adjacent to an already-mapped one when possible.
-        self._order = self._matching_order()
+        self._order: list[VertexId] | None = None
 
     # ------------------------------------------------------------------
     # public API
@@ -125,82 +122,99 @@ class VF2Matcher:
                     return False
         return True
 
+    @property
+    def order(self) -> list[VertexId]:
+        """The pattern vertices in matching order (built on first use).
+
+        Most-constrained vertices first (rare host label, high degree),
+        then connectivity order so each new vertex is adjacent to an
+        already-mapped one when possible.  Built lazily so a query the
+        prefilter rejects never pays for it.
+        """
+        if self._order is None:
+            self._order = self._matching_order()
+        return self._order
+
     def _matching_order(self) -> list[VertexId]:
         pattern = self.pattern
-        if pattern.num_vertices == 0:
-            return []
+        labels = pattern._labels
+        adj = pattern._adj
         host_label_counts = self.host.views().vertex_labels
-
-        def rarity(vertex: VertexId) -> tuple:
-            return (
-                host_label_counts.get(pattern.label(vertex), 0),
-                -pattern.degree(vertex),
+        # Each vertex's key is fixed for the whole walk, so it is
+        # computed once; repr(vertex) makes every key distinct.
+        rarity = {
+            vertex: (
+                host_label_counts.get(label, 0),
+                -len(adj[vertex]),
                 repr(vertex),
             )
-
+            for vertex, label in labels.items()
+        }
         remaining = set(pattern.vertices())
         order: list[VertexId] = []
         frontier: set[VertexId] = set()
         while remaining:
-            if frontier:
-                nxt = min(frontier, key=rarity)
-            else:
-                nxt = min(remaining, key=rarity)
+            nxt = min(frontier or remaining, key=rarity.__getitem__)
             order.append(nxt)
             remaining.discard(nxt)
             frontier.discard(nxt)
-            frontier |= pattern.neighbors(nxt) & remaining
+            frontier |= adj[nxt] & remaining
         return order
 
     def _candidates(
         self, pattern_vertex: VertexId, mapping: Assignment, used: set[VertexId]
     ) -> Iterator[VertexId]:
         """Candidate host vertices for *pattern_vertex* given partial map."""
-        pattern, host = self.pattern, self.host
+        host_adj = self.host._adj
+        host_labels = self.host._labels
         domain = (
             self._domains.get(pattern_vertex)
             if self._domains is not None
             else None
         )
         mapped_neighbors = [
-            n for n in pattern.neighbors(pattern_vertex) if n in mapping
+            n for n in self.pattern._adj[pattern_vertex] if n in mapping
         ]
         if mapped_neighbors:
             # Intersect host neighbourhoods of already-mapped neighbours.
             first = mapping[mapped_neighbors[0]]
-            candidate_pool = set(host.neighbors(first))
+            candidate_pool = set(host_adj[first])
             for other in mapped_neighbors[1:]:
-                candidate_pool &= host.neighbors(mapping[other])
+                candidate_pool &= host_adj[mapping[other]]
             if domain is not None:
                 candidate_pool &= set(domain)
         elif domain is not None:
             candidate_pool = set(domain)
         else:
-            candidate_pool = set(host.vertices())
-        want_label = pattern.label(pattern_vertex)
+            # Built from an iterator, not the dict itself: set(dict)
+            # presizes its table, which changes the iteration order.
+            candidate_pool = set(iter(host_labels))
+        want_label = self.pattern._labels[pattern_vertex]
+        node_match = self._node_match
         for host_vertex in candidate_pool:
             if host_vertex in used:
                 continue
-            if not self._node_match(want_label, host.label(host_vertex)):
+            if not node_match(want_label, host_labels[host_vertex]):
                 continue
             yield host_vertex
 
     def _feasible(
         self, pattern_vertex: VertexId, host_vertex: VertexId, mapping: Assignment
     ) -> bool:
-        pattern, host = self.pattern, self.host
-        if pattern.degree(pattern_vertex) > host.degree(host_vertex):
+        pattern_adj = self.pattern._adj
+        host_adj = self.host._adj
+        pattern_neighbors = pattern_adj[pattern_vertex]
+        host_neighbors = host_adj[host_vertex]
+        if len(pattern_neighbors) > len(host_neighbors):
             return False
-        for neighbor in pattern.neighbors(pattern_vertex):
-            if neighbor in mapping and not host.has_edge(
-                host_vertex, mapping[neighbor]
-            ):
+        for neighbor in pattern_neighbors:
+            if neighbor in mapping and mapping[neighbor] not in host_neighbors:
                 return False
         if self.induced:
-            host_adj = host.neighbors(host_vertex)
             for mapped_pattern, mapped_host in mapping.items():
-                if mapped_host in host_adj and not pattern.has_edge(
-                    pattern_vertex, mapped_pattern
+                if (
+                    mapped_host in host_neighbors
+                    and mapped_pattern not in pattern_neighbors
                 ):
                     return False
         return True
@@ -208,7 +222,7 @@ class VF2Matcher:
     def _match(self) -> Iterator[Assignment]:
         trip("vf2.search")
         budget = current_budget()
-        order = self._order
+        order = self.order
         if not order:
             yield {}
             return

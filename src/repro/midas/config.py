@@ -46,11 +46,6 @@ class MidasConfig(CatapultConfig):
     tray_edges: int = 0
     #: Number of 2-edge path patterns in the small-pattern tray.
     tray_paths: int = 0
-    #: Run each ``apply_update`` transactionally: snapshot the maintained
-    #: state up front and roll back on any mid-round failure.  Costs one
-    #: deep copy of the state per round; disable for throughput runs
-    #: where a crashed round may leave the maintainer inconsistent.
-    transactional: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()

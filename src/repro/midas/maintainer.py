@@ -24,8 +24,7 @@ generation + swap time), the classification, and the executed swaps.
 
 from __future__ import annotations
 
-import copy
-
+import pickle
 from dataclasses import dataclass, field
 
 from ..cache.stores import caching_enabled, get_caches
@@ -41,6 +40,7 @@ from ..patterns.metrics import CoverageOracle
 from ..patterns.pattern import PatternSet
 from ..resilience.budget import budget_check
 from ..resilience.faults import trip
+from ..store.base import GraphStore
 from ..trees.features import FeatureSpace
 from .config import MidasConfig
 from .detector import Classification, ModificationDetector, ModificationType
@@ -156,9 +156,9 @@ class Midas:
     # ------------------------------------------------------------------
     # transactional machinery
     # ------------------------------------------------------------------
-    #: Attributes the pre-round snapshot captures.  They are deep-copied
-    #: as ONE dict so the copy memo preserves shared references (the
-    #: oracle holds the same IndexPair object as ``index_pair``; copying
+    #: Attributes the pre-round snapshot captures.  They are pickled as
+    #: ONE dict so the pickle memo preserves shared references (the
+    #: oracle holds the same IndexPair object as ``index_pair``; pickling
     #: them separately would silently un-share them on rollback).
     _STATE_ATTRS = (
         "database",
@@ -173,13 +173,26 @@ class Midas:
         "small_tray",
     )
 
-    def _snapshot_state(self) -> dict:
-        return copy.deepcopy(
-            {name: getattr(self, name) for name in self._STATE_ATTRS}
-        )
+    def _snapshot_state(self) -> tuple[dict, bytes]:
+        """The pre-round state: objects held by reference, and a pickle.
 
-    def _restore_state(self, snapshot: dict) -> None:
-        for name, value in snapshot.items():
+        A store that undoes a round through its own hooks (it overrides
+        :meth:`~repro.store.base.GraphStore.rollback_round`, like the
+        SQLite store, which also refuses to pickle mid-round) is kept
+        by reference; everything else is pickled in one call and only
+        unpickled on rollback.
+        """
+        state = {name: getattr(self, name) for name in self._STATE_ATTRS}
+        held = {}
+        if type(self.database).rollback_round is not GraphStore.rollback_round:
+            held["database"] = state.pop("database")
+        return held, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def _restore_state(self, snapshot: tuple[dict, bytes]) -> None:
+        held, blob = snapshot
+        state = pickle.loads(blob)
+        state.update(held)
+        for name, value in state.items():
             setattr(self, name, value)
 
     def _validate_update(self, update: BatchUpdate) -> None:
@@ -258,9 +271,9 @@ class Midas:
     def apply_update(self, update: BatchUpdate) -> MaintenanceReport:
         """Process one batch ΔD, maintaining patterns opportunely.
 
-        The round is transactional (``config.transactional``): the full
-        maintained state is snapshotted before the database mutates, and
-        any mid-round exception restores it.  A deadline/budget signal
+        The round is transactional: the full maintained state is
+        snapshotted before the database mutates, and any mid-round
+        exception restores it.  A deadline/budget signal
         (:class:`ResilienceError`) yields an *aborted*
         :class:`MaintenanceReport` instead of raising; any other failure
         re-raises as :class:`RolledBack` with the cause chained — either
@@ -269,13 +282,11 @@ class Midas:
         self._validate_update(update)
         registry = get_registry()
         counters_before = registry.counter_values()
-        snapshot = None
-        if self.config.transactional:
-            # Out-of-core stores defer their SQL commit to the round
-            # verdict (GraphStore round hooks); in-memory stores no-op
-            # and roll back through the deep-copied snapshot.
-            self.database.begin_round()
-            snapshot = self._snapshot_state()
+        # Out-of-core stores defer their SQL commit to the round verdict
+        # (GraphStore round hooks); in-memory stores no-op and roll back
+        # through the pickled snapshot.
+        self.database.begin_round()
+        snapshot = self._snapshot_state()
         execution = getattr(self.config, "execution", None) or ExecutionConfig()
         round_span = None
         try:
@@ -283,8 +294,6 @@ class Midas:
                 with capture("midas.apply_update") as round_span:
                     outputs = self._apply_update_inner(update)
         except ResilienceError as exc:
-            if snapshot is None:
-                raise
             self._restore_state(snapshot)
             self.database.rollback_round()
             registry.counter("resilience.rollbacks").add(1)
@@ -293,8 +302,6 @@ class Midas:
                 exc, registry, counters_before, round_span
             )
         except Exception as exc:
-            if snapshot is None:
-                raise
             self._restore_state(snapshot)
             self.database.rollback_round()
             registry.counter("resilience.rollbacks").add(1)
@@ -303,8 +310,7 @@ class Midas:
                 f"{type(exc).__name__}: {exc}",
                 cause=exc,
             ) from exc
-        if snapshot is not None:
-            self.database.commit_round()
+        self.database.commit_round()
         return self._finalize_report(
             outputs, round_span, registry, counters_before
         )

@@ -116,6 +116,12 @@ class PruningContext:
 
     # ------------------------------------------------------------------
     def is_promising(self, candidate: LabeledGraph) -> bool:
-        """Definition 5.5: candidate's marginal cover beats the bound."""
-        marginal = len(self.oracle.cover(candidate) - self._union_cover)
-        return marginal >= self.threshold
+        """Definition 5.5: candidate's marginal cover beats the bound.
+
+        Only hosts outside ``⋃ G_scov(P)`` can count towards the
+        marginal cover, so the oracle tests just those and stops once
+        the verdict is settled (:meth:`CoverageOracle.marginal_reaches`).
+        """
+        return self.oracle.marginal_reaches(
+            candidate, self._union_cover, self.threshold
+        )

@@ -21,8 +21,8 @@ zero-copy alternative on fork platforms:
 
 Views are process-local state, deliberately excluded from pickling
 (publishers drop their tokens in ``__getstate__`` and republish
-lazily), so deep-copied owners — e.g. the transactional snapshot
-backups taken by ``Midas.apply_update`` — get fresh views instead of
+lazily), so pickled or deep-copied owners — e.g. the transactional
+snapshots taken by ``Midas.apply_update`` — get fresh views instead of
 aliasing a live one.
 
 Metrics: ``parallel.view_publishes`` counts publishes,

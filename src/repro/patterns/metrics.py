@@ -22,7 +22,7 @@ swap evaluations stay cheap.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Set
 
 from ..cache.stores import cached_ged_value, caching_enabled, get_caches
 from ..covindex.engine import CoverageEngine, covindex_enabled
@@ -211,6 +211,65 @@ class CoverageOracle:
             result = self._scan_cover(pattern)
         self._cover_cache[key] = result
         return result
+
+    def marginal_reaches(
+        self,
+        pattern: LabeledGraph,
+        excluded: Set[int],
+        threshold: float,
+    ) -> bool:
+        """Whether ``|G_scov(p) ∖ excluded| ≥ threshold`` in this view.
+
+        Answers from the cached cover when there is one.  Otherwise
+        only the hosts outside *excluded* can contribute, so VF2 runs
+        on those alone, in ascending id order, and stops as soon as the
+        answer is decided: once the hits reach *threshold*, or once the
+        hits plus the hosts still untested fall short of it.  With an
+        engine attached, its known verdicts count first, only residual
+        hosts its filter cannot decide are verified (seeded with its
+        domains), and each verdict is committed to it.  Partial verdicts
+        feed the embedding cache and ``isomorphism_tests`` but never the
+        cover memo, which holds only complete covers.
+        """
+        key = canonical_certificate(pattern)
+        cover = self._cover_cache.get(key)
+        if cover is not None:
+            return len(cover - excluded) >= threshold
+        engine = self._engine
+        if engine is not None:
+            engine.register(key, pattern)
+            pattern = engine.pattern(key)
+            residual = [
+                gid for gid in engine.pending(key) if gid not in excluded
+            ]
+            hits = len(engine.cover_ids(key) - excluded)
+        else:
+            residual = sorted(
+                gid for gid in self._graphs if gid not in excluded
+            )
+            hits = 0
+        caches = get_caches() if caching_enabled() else None
+        untested = len(residual)
+        for graph_id in residual:
+            if hits >= threshold or hits + untested < threshold:
+                break
+            untested -= 1
+            verdict = None
+            if caches is not None:
+                verdict = caches.embeddings.get_contains(
+                    pattern, self._graphs[graph_id]
+                )
+            if verdict is None:
+                domains = (
+                    None
+                    if engine is None
+                    else {graph_id: engine.vertex_domains(key, graph_id)}
+                )
+                verdict = self._verify(pattern, [graph_id], domains)[0]
+            if engine is not None:
+                engine.commit(key, graph_id, verdict)
+            hits += verdict
+        return hits >= threshold
 
     def _scan_cover(self, pattern: LabeledGraph) -> frozenset[int]:
         """The unfiltered path: FCT/IFE prefilter + full verification."""

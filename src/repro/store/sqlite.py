@@ -32,10 +32,12 @@ Round lifecycle: a transactional MIDAS round brackets its batch with
 :meth:`begin_round` / :meth:`commit_round` / :meth:`rollback_round`;
 inside a round the SQL transaction (and the journal outcome) is
 deferred to the round verdict, so a rolled-back round leaves the file —
-and the journal — exactly as before.  ``copy.deepcopy`` of a
-``SQLiteStore`` returns the store itself for the same reason: the
-maintainer's deep-copied rollback snapshot would otherwise duplicate an
-on-disk database per round; the round hooks carry the rollback instead.
+and the journal — exactly as before.  The maintainer's pickled rollback
+snapshot therefore leaves the store out and holds it by reference
+(pickling mid-round raises, and would otherwise duplicate an on-disk
+database per round); the round hooks carry the rollback instead.
+``copy.deepcopy`` of a ``SQLiteStore`` returns the store itself for the
+same reason.
 
 See docs/STORAGE.md for the backend matrix and durability semantics.
 """
@@ -723,9 +725,9 @@ class SQLiteStore(GraphStore):
         return clone
 
     def __deepcopy__(self, memo: dict) -> "SQLiteStore":
-        # The transactional round snapshot must not duplicate an
-        # on-disk database per round; rollback travels through the
-        # round hooks instead (see the module docstring).
+        # A deep copy must not duplicate an on-disk database; rollback
+        # travels through the round hooks instead (see the module
+        # docstring).
         memo[id(self)] = self
         return self
 

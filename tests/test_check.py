@@ -164,6 +164,7 @@ class TestOracleRegistry:
             "ged",
             "index",
             "parallel",
+            "prune",
             "scov",
             "serve",
             "store",

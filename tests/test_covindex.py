@@ -288,8 +288,8 @@ class TestCoverageEngine:
         assert 0 not in engine.cover_ids(key)
 
     def test_engine_is_deepcopyable(self, molecule_graphs):
-        """Midas transactional rounds deep-copy the oracle (and with it
-        the engine); the copy must be independent of the original."""
+        """Copies of the oracle carry the engine with them; a copy must
+        be independent of the original."""
         engine = CoverageEngine(molecule_graphs)
         pattern = make_graph("CO", [(0, 1)])
         key = graph_key(pattern)

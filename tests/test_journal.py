@@ -19,13 +19,14 @@ The load-bearing claims under test (see docs/ROBUSTNESS.md):
 from __future__ import annotations
 
 import asyncio
+import pickle
 import shutil
 
 import pytest
 
 from repro import api
 from repro.datasets import aids_like, family_injection
-from repro.exceptions import JournalCorruption, JournalError
+from repro.exceptions import JournalCorruption, JournalError, RolledBack
 from repro.graph.canonical import canonical_certificate
 from repro.journal import (
     Journal,
@@ -41,6 +42,7 @@ from repro.journal.records import TornTail, encode_record
 from repro.journal.segments import SEGMENT_PATTERN
 from repro.midas import MidasConfig
 from repro.patterns import PatternBudget
+from repro.resilience import Fault, inject_faults
 from repro.serve.service import PatternService
 
 
@@ -238,8 +240,13 @@ class TestCheckpoint:
         graphs = list(midas.database.graphs()) + midas.pattern_graphs()
         for graph in graphs:
             canonical_certificate(graph)
-        snapshot = midas._snapshot_state()
-        assert all(g._views is None for g in snapshot["database"].graphs())
+        held, blob = midas._snapshot_state()
+        assert not held  # an in-memory store is pickled with the rest
+        restored = pickle.loads(blob)
+        assert all(g._views is None for g in restored["database"].graphs())
+        assert all(
+            p.graph._views is None for p in restored["patterns"]
+        )
         write_checkpoint(
             tmp_path,
             checkpoint_id=0,
@@ -256,6 +263,33 @@ class TestCheckpoint:
         assert [canonical_certificate(g) for g in revived_graphs] == [
             canonical_certificate(g) for g in graphs
         ]
+
+    def test_checkpoint_with_the_retired_transactional_field_loads(
+        self, tmp_path
+    ):
+        """Checkpoints written before ``MidasConfig.transactional`` was
+        removed pickle a config whose state still carries the field; such
+        a maintainer must load and keep running transactional rounds."""
+        midas = make_midas()
+        midas.config.transactional = False  # the pickled state of old configs
+        write_checkpoint(
+            tmp_path,
+            checkpoint_id=0,
+            midas=midas,
+            version=1,
+            last_update_id=0,
+            next_update_id=1,
+        )
+        revived = load_latest_checkpoint(tmp_path).midas
+        assert revived.config.transactional is False
+        size = len(revived.database)
+        with inject_faults({"midas.fct": Fault(kind="error")}):
+            with pytest.raises(RolledBack):
+                revived.apply_update(family_injection(4, seed=2))
+        assert len(revived.database) == size
+        report = revived.apply_update(family_injection(4, seed=2))
+        assert not report.aborted
+        assert len(revived.database) == size + 4
 
     def test_invalid_latest_falls_back(self, tmp_path):
         midas = make_midas()

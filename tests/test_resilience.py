@@ -8,7 +8,7 @@ Covers the guarantees documented in docs/ROBUSTNESS.md:
   bound, with the reported fidelity tag matching the path taken;
 * deterministic fault injection at named sites;
 * transactional maintenance rounds: a fault at *every* named site inside
-  ``Midas.apply_update`` leaves the maintainer byte-identical to its
+  ``Midas.apply_update`` leaves the maintainer identical to its
   pre-round snapshot (``pytest -m faults`` selects these).
 """
 
@@ -28,6 +28,7 @@ from repro.exceptions import (
 )
 from repro.ged import ged
 from repro.graph import BatchUpdate
+from repro.graph.io import graph_to_dict
 from repro.graph.labeled_graph import LabeledGraph
 from repro.midas import Midas, MidasConfig
 from repro.obs import get_registry
@@ -49,6 +50,7 @@ from repro.resilience import (
     trip,
     use_budget,
 )
+from repro.store.sqlite import SQLiteStore
 
 from .conftest import make_graph
 
@@ -411,11 +413,14 @@ def resilience_midas():
 def _canon(obj, memo=None):
     """Canonical, order-independent projection of an object graph.
 
-    Raw ``pickle.dumps`` is not a usable digest here: ``deepcopy``
-    rebuilds sets with a different insertion history, so two structurally
-    identical states can serialize to different bytes.  This walks the
-    object graph and sorts every set, making the digest depend only on
-    *content*.
+    Raw ``pickle.dumps`` is not a usable digest here: a restored state
+    rebuilds sets with a different insertion history, and unpickling
+    turns equal strings into one shared object that the pickle memo
+    then writes differently, so two identical states can serialize to
+    different bytes.  This walks the object graph and sorts every set;
+    projections are compared by value, so they depend only on
+    *content*.  Aliasing is checked separately
+    (:func:`assert_state_aliasing`).
     """
     import enum
     import random
@@ -462,9 +467,23 @@ def _canon(obj, memo=None):
     return repr(obj)
 
 
-def state_digest(midas: Midas) -> bytes:
-    """Byte-level digest of every attribute a round may mutate."""
-    return pickle.dumps(_canon(midas._snapshot_state()))
+def state_digest(midas: Midas) -> tuple:
+    """Value projection of the pickled part of a round snapshot.
+
+    Going through the snapshot drops derived caches (graph views, view
+    tokens) exactly as a rollback does; a store held by reference is
+    left out and checked by the caller.
+    """
+    _, blob = midas._snapshot_state()
+    return _canon(pickle.loads(blob))
+
+
+def assert_state_aliasing(midas: Midas) -> None:
+    """The references a restore must keep shared stay shared."""
+    assert midas.oracle._index_pair is midas.index_pair
+    assert midas.oracle._graphs
+    for graph_id, graph in midas.oracle._graphs.items():
+        assert graph is midas.database[graph_id]
 
 
 @pytest.mark.faults
@@ -482,6 +501,7 @@ class TestTransactionalRollback:
             assert isinstance(err.value.__cause__, FaultInjected)
             assert site in str(err.value.__cause__)
             assert state_digest(midas) == before, f"state leaked at {site}"
+            assert_state_aliasing(midas)
             assert counter_value("resilience.rollbacks") == rollbacks + 1
 
     def test_budget_fault_aborts_round_at_every_site(self, resilience_midas):
@@ -497,6 +517,7 @@ class TestTransactionalRollback:
             assert not report.is_major
             assert report.num_swaps == 0
             assert state_digest(midas) == before, f"state leaked at {site}"
+            assert_state_aliasing(midas)
             assert counter_value("resilience.aborted_rounds") == aborted + 1
 
     def test_tight_ambient_deadline_aborts_and_rolls_back(
@@ -512,6 +533,7 @@ class TestTransactionalRollback:
         assert report.aborted
         assert "DeadlineExceeded" in (report.abort_reason or "")
         assert state_digest(midas) == before
+        assert_state_aliasing(midas)
 
     def test_clean_round_still_commits(self, resilience_midas):
         midas = resilience_midas
@@ -521,10 +543,16 @@ class TestTransactionalRollback:
         assert report.is_major  # epsilon=0 forces major
         assert state_digest(midas) != before  # the round really mutates
 
-
-@pytest.mark.faults
-class TestNonTransactionalMode:
-    def test_fault_propagates_raw_without_snapshot(self):
+    def test_sqlite_store_rolls_back_by_reference_at_every_site(
+        self, tmp_path
+    ):
+        """The store stays outside the pickled snapshot: its own round
+        hooks undo the batch, the same instance stays attached, and the
+        in-memory state rolls back by value and by aliasing."""
+        source = SQLiteStore(tmp_path / "catalog.db")
+        source.apply_batch(
+            BatchUpdate.of(insertions=list(aids_like(24, seed=9).graphs()))
+        )
         config = MidasConfig(
             budget=PatternBudget(3, 6, 6),
             sup_min=0.5,
@@ -532,12 +560,35 @@ class TestNonTransactionalMode:
             sample_cap=40,
             seed=3,
             epsilon=0.0,
-            transactional=False,
         )
-        midas = Midas.bootstrap(aids_like(20, seed=11), config)
-        with inject_faults({"midas.detect": Fault(kind="error")}):
-            with pytest.raises(FaultInjected):  # not wrapped in RolledBack
-                midas.apply_update(family_injection(5, seed=4))
+        midas = Midas.bootstrap(source, config)
+        store = midas.database
+        assert isinstance(store, SQLiteStore)
+
+        def store_content():
+            return (
+                [(gid, graph_to_dict(g)) for gid, g in store.items()],
+                store.next_graph_id(),
+            )
+
+        update = family_injection(6, seed=4)
+        try:
+            for site in MAINTENANCE_SITES:
+                before_memory = state_digest(midas)
+                before_store = store_content()
+                with inject_faults({site: Fault(kind="error")}):
+                    with pytest.raises(RolledBack):
+                        midas.apply_update(update)
+                assert midas.database is store, site
+                assert store_content() == before_store, site
+                assert state_digest(midas) == before_memory, site
+                assert midas.oracle._index_pair is midas.index_pair
+            report = midas.apply_update(update)
+            assert not report.aborted
+            assert len(store) == len(before_store[0]) + 6
+        finally:
+            store.close()
+            source.close()
 
 
 # ----------------------------------------------------------------------

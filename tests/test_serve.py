@@ -468,9 +468,18 @@ class TestOverloadProtection:
     def test_run_overload_sheds_and_resolves(self):
         from repro.serve.bench import run_overload
 
-        figure = run_overload(
-            make_midas(), queue_limit=2, writers=2, bursts=4, seed=3
-        )
+        # Hold every round for 50 ms so the writers outpace the
+        # maintainer by construction, not by how slow a round happens
+        # to be on this machine.
+        slow_rounds = {
+            "serve.round.pre_apply": Fault(
+                kind="latency", delay=0.05, times=None
+            )
+        }
+        with inject_faults(slow_rounds):
+            figure = run_overload(
+                make_midas(), queue_limit=2, writers=2, bursts=4, seed=3
+            )
         outcomes = figure["outcomes"]
         assert outcomes["shed"] > 0
         assert figure["queue_bounded"]

@@ -156,6 +156,57 @@ class TestMatcherInternals:
         p = make_graph("CCCO", [(0, 1), (1, 2), (2, 3)])
         host = make_graph("CCCO", [(0, 1), (1, 2), (2, 3)])
         matcher = VF2Matcher(p, host)
-        assert sorted(matcher._order, key=repr) == sorted(
+        assert sorted(matcher.order, key=repr) == sorted(
             p.vertices(), key=repr
         )
+
+    def test_order_is_built_only_after_the_prefilter_passes(self, triangle):
+        rejected = VF2Matcher(make_graph("CCO", [(0, 1), (1, 2)]), triangle)
+        assert not rejected.has_match()
+        assert rejected._order is None
+        accepted = VF2Matcher(make_graph("CC", [(0, 1)]), triangle)
+        assert accepted.has_match()
+        assert accepted._order is not None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_order_matches_the_per_step_rarity_minimum(self, seed):
+        """The cached rarity keys pick the same vertex at every step as
+        recomputing ``rarity`` inside each ``min`` did."""
+        rng = random.Random(seed)
+        host = random_graph(rng.randint(3, 12), 0.4, "CNOS", rng)
+        pattern = random_graph(rng.randint(1, 8), rng.random(), "CNO", rng)
+
+        def rarity(vertex):
+            return (
+                host.vertex_label_multiset().get(pattern.label(vertex), 0),
+                -pattern.degree(vertex),
+                repr(vertex),
+            )
+
+        remaining = set(pattern.vertices())
+        expected = []
+        frontier = set()
+        while remaining:
+            if frontier:
+                nxt = min(frontier, key=rarity)
+            else:
+                nxt = min(remaining, key=rarity)
+            expected.append(nxt)
+            remaining.discard(nxt)
+            frontier.discard(nxt)
+            frontier |= pattern.neighbors(nxt) & remaining
+        assert VF2Matcher(pattern, host).order == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unseeded_candidates_iterate_like_a_vertex_set(self, seed):
+        """With no mapped neighbour and no domain, candidates come in the
+        iteration order of a set built from ``host.vertices()`` (a set
+        built from the label dict itself is presized and iterates
+        differently)."""
+        rng = random.Random(seed)
+        host = LabeledGraph()
+        for v in range(rng.randint(3, 30)):
+            host.add_vertex(v if rng.random() < 0.5 else f"v{v}", "C")
+        single = make_graph("C", [])
+        got = [m[0] for m in VF2Matcher(single, host).matches()]
+        assert got == list(set(host.vertices()))
