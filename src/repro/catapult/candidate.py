@@ -11,6 +11,10 @@ an ``edge_gate`` callback: before an edge is appended to the partially
 constructed candidate, the gate may veto it (Equation 2), aborting the
 growth — exactly the pruning of Section 5.2, kept decoupled so CATAPULT
 runs without it.
+
+The greedy growth never looks at the target size, so each seed is grown
+once, to the largest admissible size, and every budgeted size reads a
+prefix of that path (see ``docs/ALGORITHMS.md``).
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import accumulate
 
 from ..csg.summary import SummaryGraph
 from ..graph.labeled_graph import EdgeLabel, LabeledGraph, edge_key
@@ -55,6 +61,20 @@ def _biased_count(
     return count * (PRIORITY_FLOOR + edge_priority(label))
 
 
+def _edge_scores(
+    summary: SummaryGraph,
+    counts: Mapping[tuple[int, int], int],
+    edge_priority: EdgePriority | None,
+) -> dict[tuple[int, int], float]:
+    """Every CSG edge's growth score: its (biased) traversal count."""
+    return {
+        key: _biased_count(
+            counts.get(key, 0), summary.edge_label(*key), edge_priority
+        )
+        for key in summary.edges()
+    }
+
+
 @dataclass
 class CandidatePattern:
     """A final candidate pattern (FCP) proposed for selection."""
@@ -90,6 +110,56 @@ def _extract_pattern(
     return pattern
 
 
+def _grow_path(
+    summary: SummaryGraph,
+    scores: Mapping[tuple[int, int], float],
+    seed_edge: tuple[int, int],
+    max_size: int,
+    edge_gate: EdgeGate | None,
+) -> list[tuple[int, int]] | None:
+    """The greedy growth from *seed_edge*, up to *max_size* edges.
+
+    Each step appends the highest-scoring CSG edge adjacent to the
+    partial candidate (ties to the smaller key).  The path ends early
+    when the frontier empties or *edge_gate* vetoes the next edge
+    (Section 5.2); None when the gate vetoes the seed itself.  The
+    frontier is a heap fed once per joining vertex; edges already
+    chosen are skipped when they surface.
+    """
+    if edge_gate is not None and not edge_gate(summary.edge_label(*seed_edge)):
+        return None
+    chosen = [seed_edge]
+    chosen_set = {edge_key(*seed_edge)}
+    joined: set[int] = set()
+    heap: list[tuple[float, tuple[int, int]]] = []
+
+    def join(vertex: int) -> None:
+        joined.add(vertex)
+        for neighbor in summary.neighbors(vertex):
+            key = edge_key(vertex, neighbor)
+            if key not in chosen_set:
+                heappush(heap, (-scores[key], key))
+
+    join(seed_edge[0])
+    join(seed_edge[1])
+    while len(chosen) < max_size:
+        while heap and heap[0][1] in chosen_set:
+            heappop(heap)
+        if not heap:
+            break
+        key = heap[0][1]
+        if edge_gate is not None and not edge_gate(summary.edge_label(*key)):
+            # Equation 2 fired: no larger candidate from this seed.
+            break
+        heappop(heap)
+        chosen.append(key)
+        chosen_set.add(key)
+        for vertex in key:
+            if vertex not in joined:
+                join(vertex)
+    return chosen
+
+
 def grow_candidate(
     summary: SummaryGraph,
     counts: Mapping[tuple[int, int], int],
@@ -107,44 +177,16 @@ def grow_candidate(
     traversal count, or None when the growth was pruned/stuck before
     reaching the target size.
     """
-    if edge_gate is not None and not edge_gate(summary.edge_label(*seed_edge)):
+    path = _grow_path(
+        summary,
+        _edge_scores(summary, counts, edge_priority),
+        seed_edge,
+        target_size,
+        edge_gate,
+    )
+    if path is None or len(path) < target_size:
         return None
-    chosen = [seed_edge]
-    chosen_set = {edge_key(*seed_edge)}
-    vertices = {seed_edge[0], seed_edge[1]}
-    total = counts.get(edge_key(*seed_edge), 0)
-    while len(chosen) < target_size:
-        frontier: list[tuple[float, tuple[int, int]]] = []
-        for vertex in vertices:
-            for neighbor in summary.neighbors(vertex):
-                key = edge_key(vertex, neighbor)
-                if key in chosen_set:
-                    continue
-                score = _biased_count(
-                    counts.get(key, 0),
-                    summary.edge_label(*key),
-                    edge_priority,
-                )
-                frontier.append((score, key))
-        if not frontier:
-            return None
-        frontier.sort(key=lambda item: (-item[0], item[1]))
-        appended = False
-        for _, key in frontier:
-            if edge_gate is not None and not edge_gate(
-                summary.edge_label(*key)
-            ):
-                # Equation 2 fired: terminate this candidate entirely.
-                return None
-            chosen.append(key)
-            chosen_set.add(key)
-            vertices.update(key)
-            total += counts.get(key, 0)
-            appended = True
-            break
-        if not appended:
-            return None
-    return chosen, total
+    return path, sum(counts.get(edge_key(*edge), 0) for edge in path)
 
 
 class CandidateGenerator:
@@ -185,10 +227,10 @@ class CandidateGenerator:
     ) -> list[CandidatePattern]:
         """FCPs of every budgeted size from one CSG.
 
-        For each size, walks are summarised once and the top
-        ``seeds_per_size`` edges (by traversal count, biased by
-        *edge_priority* when given) seed PCP growth; the best-scoring
-        completed PCPs become the FCPs for that size.
+        Walks are summarised once and the top ``seeds_per_size`` edges
+        (by traversal count, biased by *edge_priority* when given) seed
+        PCP growth; for each size, the best-scoring completed PCPs
+        become the FCPs.
         """
         if summary.num_edges == 0:
             return []
@@ -204,15 +246,8 @@ class CandidateGenerator:
             }
         walker = RandomWalker(summary, weights, self._rng)
         counts = walker.traversal_counts(self.num_walks, self.walk_length)
-        ranked_edges = sorted(
-            counts,
-            key=lambda edge: (
-                -_biased_count(
-                    counts[edge], summary.edge_label(*edge), edge_priority
-                ),
-                edge,
-            ),
-        )
+        scores = _edge_scores(summary, counts, edge_priority)
+        ranked_edges = sorted(counts, key=lambda edge: (-scores[edge], edge))
         if edge_gate is not None:
             # Seeds must themselves pass the coverage gate, otherwise
             # every growth attempt dies on its first edge (Section 5.2).
@@ -221,18 +256,30 @@ class CandidateGenerator:
                 for edge in ranked_edges
                 if edge_gate(summary.edge_label(*edge))
             ]
-        candidates: list[CandidatePattern] = []
+        sizes: list[int] = []
         for size in self.budget.sizes():
             if size > summary.num_edges:
                 break
-            # PCP library for this size: one growth per seed edge.
-            proposals: list[tuple[list[tuple[int, int]], int]] = []
-            for seed_edge in ranked_edges[: self.seeds_per_size]:
-                grown = grow_candidate(
-                    summary, counts, seed_edge, size, edge_gate, edge_priority
-                )
-                if grown is not None:
-                    proposals.append(grown)
+            sizes.append(size)
+        if not sizes:
+            return []
+        # One growth per seed edge, to the largest size; each size's
+        # PCP is a prefix, scored by the prefix's traversal total.
+        paths = []
+        for seed_edge in ranked_edges[: self.seeds_per_size]:
+            path = _grow_path(
+                summary, scores, seed_edge, sizes[-1], edge_gate
+            )
+            if path is not None:
+                paths.append((path, list(accumulate(counts[e] for e in path))))
+        candidates: list[CandidatePattern] = []
+        for size in sizes:
+            # PCP library for this size: the seeds that grew this far.
+            proposals = [
+                (path[:size], totals[size - 1])
+                for path, totals in paths
+                if len(path) >= size
+            ]
             proposals.sort(key=lambda item: -item[1])
             # Keep the top FCPs, deduplicated by their CSG edge sets.
             seen_edge_sets: set[frozenset] = set()

@@ -10,12 +10,19 @@ The walker is seeded and purely local: vertices are entered with
 probability proportional to incident edge weight, and successive steps
 pick incident edges with probability proportional to (possibly
 multiplicatively decayed) weight.
+
+Each draw bisects a cumulative-weight table built once per walker (per
+vertex, on first visit) — the same arithmetic ``random.choices`` does
+for one draw, so the walks consume exactly the same RNG stream as a
+``choices`` call per step would.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from bisect import bisect
+from collections.abc import Mapping, Sequence
+from itertools import accumulate
 
 from ..csg.summary import SummaryGraph
 from ..graph.labeled_graph import EdgeLabel, LabeledGraph, edge_key
@@ -65,6 +72,22 @@ def csg_edge_weights(
     return weights
 
 
+#: One draw table: cumulative weights, their float total and the last
+#: index — ``random.choices``'s locals for a ``k=1`` draw.
+_DrawTable = tuple[list[float], float, int]
+
+
+def _draw_table(weights: Sequence[float]) -> _DrawTable:
+    """The cumulative table ``random.choices`` builds for *weights*.
+
+    All-zero weights fall back to uniform, as the walk always did.
+    """
+    if sum(weights) <= 0:
+        weights = [1.0] * len(weights)
+    cumulative = list(accumulate(weights))
+    return cumulative, cumulative[-1] + 0.0, len(cumulative) - 1
+
+
 class RandomWalker:
     """Seeded weighted random walks collecting edge traversal counts."""
 
@@ -78,47 +101,66 @@ class RandomWalker:
         self.weights = dict(weights)
         self._rng = rng
 
-    def _entry_distribution(self) -> tuple[list[int], list[float]]:
+    def _entry_table(self) -> tuple[list[int], _DrawTable]:
         vertices = self.summary.vertices()
-        scores = []
-        for vertex in vertices:
-            incident = sum(
+        scores = [
+            sum(
                 self.weights.get(edge_key(vertex, n), 0.0)
                 for n in self.summary.neighbors(vertex)
             )
-            scores.append(incident)
-        total = sum(scores)
-        if total <= 0:
-            scores = [1.0] * len(vertices)
-        return vertices, scores
+            for vertex in vertices
+        ]
+        return vertices, _draw_table(scores)
+
+    def _step_table(
+        self, vertex: int
+    ) -> tuple[list[int], list[tuple[int, int]], _DrawTable] | None:
+        """Sorted neighbours, their edge keys and the step draw table."""
+        neighbors = sorted(self.summary.neighbors(vertex))
+        if not neighbors:
+            return None
+        keys = [edge_key(vertex, n) for n in neighbors]
+        return (
+            neighbors,
+            keys,
+            _draw_table([self.weights.get(key, 0.0) for key in keys]),
+        )
 
     def traversal_counts(
         self,
         num_walks: int = DEFAULT_NUM_WALKS,
         walk_length: int = DEFAULT_WALK_LENGTH,
     ) -> dict[tuple[int, int], int]:
-        """Edge → number of traversals over *num_walks* walks."""
+        """Edge → number of traversals over *num_walks* walks.
+
+        Every draw is ``table[bisect(cum, random() * total, 0, hi)]``,
+        the body of ``random.choices(population, weights)`` for one
+        draw, so counts and the RNG state left behind equal those of a
+        ``choices`` call per step.
+        """
         counts: dict[tuple[int, int], int] = dict.fromkeys(
             self.summary.edges(), 0
         )
         if self.summary.num_edges == 0:
             return counts
-        vertices, entry_weights = self._entry_distribution()
+        draw = self._rng.random
+        vertices, (entry_cum, entry_total, entry_hi) = self._entry_table()
+        tables: dict[int, tuple | None] = {}
         for _ in range(num_walks):
-            current = self._rng.choices(vertices, weights=entry_weights)[0]
+            current = vertices[
+                bisect(entry_cum, draw() * entry_total, 0, entry_hi)
+            ]
             for _ in range(walk_length):
-                neighbors = sorted(self.summary.neighbors(current))
-                if not neighbors:
+                if current in tables:
+                    table = tables[current]
+                else:
+                    table = tables[current] = self._step_table(current)
+                if table is None:
                     break
-                step_weights = [
-                    self.weights.get(edge_key(current, n), 0.0)
-                    for n in neighbors
-                ]
-                if sum(step_weights) <= 0:
-                    step_weights = [1.0] * len(neighbors)
-                nxt = self._rng.choices(neighbors, weights=step_weights)[0]
-                counts[edge_key(current, nxt)] += 1
-                current = nxt
+                neighbors, keys, (cum, total, hi) = table
+                index = bisect(cum, draw() * total, 0, hi)
+                counts[keys[index]] += 1
+                current = neighbors[index]
         return counts
 
 

@@ -27,7 +27,9 @@ relaxed-threshold headroom (paper Lemmas 3.4/4.5 — see
 
 from __future__ import annotations
 
+import copy
 import itertools
+import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -38,6 +40,17 @@ from ..cache.stores import (
     set_caches,
     use_caching,
 )
+from ..catapult.candidate import (
+    CandidateGenerator,
+    CandidatePattern,
+    EdgeGate,
+    EdgePriority,
+    _biased_count,
+    _extract_pattern,
+)
+from ..catapult.random_walk import decay_weights
+from ..catapult.selection import MWU_DECAY
+from ..csg.summary import SummaryGraph, build_csg
 from ..covindex.bitset import available_substrates, use_substrate
 from ..covindex.engine import use_covindex
 from ..covindex.fragments import use_fragments
@@ -45,11 +58,12 @@ from ..covindex.index import CoverageIndex
 from ..exceptions import InvariantViolation
 from ..ged import ged
 from ..graph.canonical import canonical_certificate
-from ..graph.labeled_graph import LabeledGraph
+from ..graph.labeled_graph import LabeledGraph, edge_key
 from ..index.maintenance import IndexPair
 from ..isomorphism.matcher import contains, count_embeddings
 from ..midas.pruning import PruningContext
 from ..parallel.pool import shared_pool, use_pool
+from ..patterns.budget import PatternBudget
 from ..patterns.metrics import CoverageOracle
 from ..serve.snapshot import SnapshotStore, build_snapshot
 from ..trees.maintenance import FCTSet
@@ -615,6 +629,269 @@ def prune_oracle(workload: Workload) -> Mismatch | None:
 
 
 # ----------------------------------------------------------------------
+# candidate generation
+# ----------------------------------------------------------------------
+#: Budget of the ``generate`` oracle: fuzz-sized CSGs both reach and
+#: fall short of its largest size.
+GENERATE_BUDGET = PatternBudget(3, 7, 6)
+
+#: Walks per CSG in the ``generate`` oracle: enough for ties, gate
+#: vetoes and unvisited edges; the literal walk dominates its cost.
+GENERATE_WALKS = 16
+
+
+def _literal_traversal_counts(
+    summary: SummaryGraph,
+    weights: Mapping[tuple[int, int], float],
+    rng: random.Random,
+    num_walks: int,
+    walk_length: int,
+) -> dict[tuple[int, int], int]:
+    """The weighted walk transcribed: one ``rng.choices`` call per draw."""
+    counts = dict.fromkeys(summary.edges(), 0)
+    if summary.num_edges == 0:
+        return counts
+    vertices = summary.vertices()
+    entry = [
+        sum(weights.get(edge_key(v, n), 0.0) for n in summary.neighbors(v))
+        for v in vertices
+    ]
+    if sum(entry) <= 0:
+        entry = [1.0] * len(vertices)
+    for _ in range(num_walks):
+        current = rng.choices(vertices, weights=entry)[0]
+        for _ in range(walk_length):
+            neighbors = sorted(summary.neighbors(current))
+            if not neighbors:
+                break
+            step = [weights.get(edge_key(current, n), 0.0) for n in neighbors]
+            if sum(step) <= 0:
+                step = [1.0] * len(neighbors)
+            nxt = rng.choices(neighbors, weights=step)[0]
+            counts[edge_key(current, nxt)] += 1
+            current = nxt
+    return counts
+
+
+def _literal_grow(
+    summary: SummaryGraph,
+    counts: Mapping[tuple[int, int], int],
+    seed_edge: tuple[int, int],
+    target_size: int,
+    edge_gate: EdgeGate | None,
+    edge_priority: EdgePriority | None,
+) -> tuple[list[tuple[int, int]], int] | None:
+    """Growth to one size transcribed: the whole frontier rebuilt and
+    sorted by ``(-score, key)`` at every step; a vetoed top edge or an
+    empty frontier before *target_size* yields None."""
+    if edge_gate is not None and not edge_gate(summary.edge_label(*seed_edge)):
+        return None
+    chosen = [seed_edge]
+    chosen_set = {edge_key(*seed_edge)}
+    vertices = set(seed_edge)
+    total = counts.get(edge_key(*seed_edge), 0)
+    while len(chosen) < target_size:
+        frontier = []
+        for vertex in vertices:
+            for neighbor in summary.neighbors(vertex):
+                key = edge_key(vertex, neighbor)
+                if key not in chosen_set:
+                    score = _biased_count(
+                        counts.get(key, 0),
+                        summary.edge_label(*key),
+                        edge_priority,
+                    )
+                    frontier.append((score, key))
+        if not frontier:
+            return None
+        frontier.sort(key=lambda item: (-item[0], item[1]))
+        key = frontier[0][1]
+        if edge_gate is not None and not edge_gate(summary.edge_label(*key)):
+            return None
+        chosen.append(key)
+        chosen_set.add(key)
+        vertices.update(key)
+        total += counts.get(key, 0)
+    return chosen, total
+
+
+def _literal_generate(
+    generator: CandidateGenerator,
+    rng: random.Random,
+    summaries: Mapping[int, SummaryGraph],
+    weights_by_cluster: Mapping[int, dict] | None,
+    edge_gate: EdgeGate | None,
+    edge_priority: EdgePriority | None,
+) -> list[CandidatePattern]:
+    """``CandidateGenerator.generate`` transcribed: the walk above, then
+    every seed regrown from scratch for every budgeted size."""
+    candidates = []
+    for cluster_id in sorted(summaries):
+        summary = summaries[cluster_id]
+        if summary.num_edges == 0:
+            continue
+        weights = (weights_by_cluster or {}).get(cluster_id)
+        if weights is None:
+            weights = generator.weights_for(summary)
+        if edge_priority is not None:
+            weights = {
+                edge: _biased_count(
+                    1, summary.edge_label(*edge), edge_priority
+                )
+                * weight
+                for edge, weight in weights.items()
+            }
+        counts = _literal_traversal_counts(
+            summary, weights, rng, generator.num_walks, generator.walk_length
+        )
+        ranked = sorted(
+            counts,
+            key=lambda edge: (
+                -_biased_count(
+                    counts[edge], summary.edge_label(*edge), edge_priority
+                ),
+                edge,
+            ),
+        )
+        if edge_gate is not None:
+            ranked = [e for e in ranked if edge_gate(summary.edge_label(*e))]
+        for size in generator.budget.sizes():
+            if size > summary.num_edges:
+                break
+            proposals = []
+            for seed_edge in ranked[: generator.seeds_per_size]:
+                grown = _literal_grow(
+                    summary, counts, seed_edge, size, edge_gate, edge_priority
+                )
+                if grown is not None:
+                    proposals.append(grown)
+            proposals.sort(key=lambda item: -item[1])
+            seen: set[frozenset] = set()
+            for edges, score in proposals:
+                if len(seen) >= generator.fcps_per_size:
+                    break
+                edge_set = frozenset(edge_key(*e) for e in edges)
+                if edge_set in seen:
+                    continue
+                pattern = _extract_pattern(summary, edges)
+                if not pattern.is_connected():
+                    continue
+                seen.add(edge_set)
+                candidates.append(
+                    CandidatePattern(pattern, cluster_id, score, edge_set)
+                )
+    return candidates
+
+
+def _candidate_trace(candidates: list[CandidatePattern]) -> list[tuple]:
+    """Everything a consumer can observe of a candidate list."""
+    return [
+        (
+            c.cluster_id,
+            c.traversal_score,
+            tuple(sorted(c.csg_edges)),
+            tuple((v, c.graph.label(v)) for v in c.graph.vertices()),
+            tuple(c.graph.edges()),
+        )
+        for c in candidates
+    ]
+
+
+def generate_oracle(workload: Workload) -> Mismatch | None:
+    """Candidate generation vs a literal transcription of the walk and
+    the per-size growth, per view.
+
+    CSGs summarise the whole view and its even/odd-id halves.  Scenarios:
+    no gate or priority; all-zero walk weights (the uniform fallback); a
+    gate vetoing every other edge label (growth stops part-way); a
+    label priority; MIDAS's pruning gate and priority against the
+    workload's first patterns; and three greedy rounds on weights
+    decayed as :class:`~repro.catapult.selection.GreedySelector` does.
+    Candidates, their CSG edges and traversal scores, and the RNG state
+    afterwards must be identical.
+    """
+    patterns = list(workload.patterns)
+    for step, view in enumerate(workload.views()):
+        ids = sorted(view)
+        members = {0: ids, 1: ids[::2], 2: ids[1::2]}
+        summaries = {
+            cid: build_csg(cid, member_ids, view)
+            for cid, member_ids in members.items()
+            if member_ids
+        }
+        labels = sorted(
+            {s.edge_label(*e) for s in summaries.values() for e in s.edges()}
+        )
+        vetoed = set(labels[1::2])
+        pruning = PruningContext(
+            CoverageOracle(view), patterns[: max(1, len(patterns) // 2)], 0.0
+        )
+        zero = {
+            cid: dict.fromkeys(s.edges(), 0.0) for cid, s in summaries.items()
+        }
+        scenarios = [
+            ("plain", None, None, None, 1),
+            ("zero_weights", zero, None, None, 1),
+            ("gate", None, lambda label: label not in vetoed, None, 1),
+            ("priority", None, None, lambda label: len(set(label)) / 2, 1),
+            ("pruning", None, pruning.edge_gate, pruning.edge_priority, 1),
+            ("decayed", "csg", None, None, 3),
+        ]
+        for name, weights, gate, priority, rounds in scenarios:
+            generator = CandidateGenerator(
+                view, GENERATE_BUDGET, seed=step, num_walks=GENERATE_WALKS
+            )
+            reference_rng = random.Random(step)
+            if weights == "csg":
+                weights = {
+                    cid: generator.weights_for(s)
+                    for cid, s in summaries.items()
+                }
+            reference_weights = copy.deepcopy(weights)
+            for round_number in range(rounds):
+                got = generator.generate(summaries, weights, gate, priority)
+                want = _literal_generate(
+                    generator,
+                    reference_rng,
+                    summaries,
+                    reference_weights,
+                    gate,
+                    priority,
+                )
+                detail = {
+                    "view": step,
+                    "scenario": name,
+                    "round": round_number,
+                }
+                if _candidate_trace(got) != _candidate_trace(want):
+                    return Mismatch(
+                        "generate",
+                        "candidate_mismatch",
+                        {
+                            **detail,
+                            "generated": len(got),
+                            "literal": len(want),
+                        },
+                    )
+                if generator._rng.getstate() != reference_rng.getstate():
+                    return Mismatch("generate", "rng_state", detail)
+                if got and round_number + 1 < rounds:
+                    # Decay the winner's CSG edges, as greedy selection does.
+                    best = max(got, key=lambda c: c.traversal_score)
+                    decay_weights(
+                        weights[best.cluster_id],
+                        set(best.csg_edges),
+                        MWU_DECAY,
+                    )
+                    decay_weights(
+                        reference_weights[best.cluster_id],
+                        set(best.csg_edges),
+                        MWU_DECAY,
+                    )
+    return None
+
+
+# ----------------------------------------------------------------------
 # metamorphic oracles
 # ----------------------------------------------------------------------
 def canonical_oracle(workload: Workload) -> Mismatch | None:
@@ -1067,6 +1344,19 @@ ORACLES: dict[str, Oracle] = {
             },
         ),
         Oracle(
+            "generate",
+            "candidate generation (walk tables, one growth per seed, "
+            "heap frontier) vs the literal choices-per-step walk and "
+            "per-size sorted-frontier growth: candidates and RNG state",
+            generate_oracle,
+            {
+                "num_graphs": 5,
+                "max_graph_vertices": 10,
+                "num_patterns": 4,
+                "num_batches": 1,
+            },
+        ),
+        Oracle(
             "canonical",
             "canonical certificates and cache keys are vertex-ID "
             "permutation invariant",
@@ -1129,6 +1419,7 @@ def oracle_names() -> list[str]:
 __all__ = [
     "EXACT_GED_MAX_VERTICES",
     "FCT_SUP_MIN",
+    "GENERATE_BUDGET",
     "ORACLES",
     "Oracle",
     "get_oracle",

@@ -50,7 +50,7 @@ from contextlib import contextmanager
 
 from ..check.invariants import check_enabled, check_engine
 from ..graph.labeled_graph import LabeledGraph, VertexId
-from ..obs import get_registry
+from ..obs import BoundCounter, get_registry
 from .bitset import make_ops
 from .fragments import FragmentNetwork, fragments_enabled
 from .index import CompiledQuery, CoverageIndex
@@ -60,6 +60,9 @@ from .index import CompiledQuery, CoverageIndex
 #: (re-verified from scratch if it ever returns) keeps bitset state
 #: proportional to the working set, not to history.
 MAX_TRACKED_PATTERNS = 1024
+
+# Filter timing counter, resolved once rather than by name per query.
+_FILTER_NS = BoundCounter("covindex.filter_ns")
 
 
 class CoverageEngine:
@@ -105,8 +108,6 @@ class CoverageEngine:
         # maintained incrementally at commit time so cover_ids never
         # re-extracts ids from a bitset on the hot path.
         self._cover_sets: dict[tuple, set[int]] = {}
-        # filter_ns counter object, cached per registry identity.
-        self._filter_ns_cache: tuple | None = None
         self._publish_gauges()
 
     @property
@@ -244,7 +245,7 @@ class CoverageEngine:
         self._seen_bits[key] = self.index.universe_value & ~pending_value
         result = self._ops.ids(pending_value)
         self._seen_count[key] = len(self._graphs) - len(result)
-        self._record_filter_ns(started)
+        _FILTER_NS.add(time.perf_counter_ns() - started)
         return result
 
     def commit(self, key: tuple, graph_id: int, verdict: bool) -> None:
@@ -274,26 +275,8 @@ class CoverageEngine:
             # bitset id extraction.
             started = time.perf_counter_ns()
             result = self._covers[key] = frozenset(self._cover_sets[key])
-            self._record_filter_ns(started)
+            _FILTER_NS.add(time.perf_counter_ns() - started)
         return result
-
-    def __getstate__(self):
-        # The cached filter_ns counter carries a lock — drop it when
-        # the engine is copied/pickled (maintenance snapshots pickle
-        # engine state); it repopulates on the next timed section.
-        state = self.__dict__.copy()
-        state["_filter_ns_cache"] = None
-        return state
-
-    def _record_filter_ns(self, started: int) -> None:
-        registry = get_registry()
-        cached = self._filter_ns_cache
-        if cached is None or cached[0] is not registry:
-            cached = self._filter_ns_cache = (
-                registry,
-                registry.counter("covindex.filter_ns"),
-            )
-        cached[1].add(time.perf_counter_ns() - started)
 
     def vertex_domains(
         self, key: tuple, graph_id: int

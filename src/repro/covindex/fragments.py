@@ -62,7 +62,7 @@ from contextlib import contextmanager
 from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..isomorphism.matcher import contains
-from ..obs import get_registry
+from ..obs import BoundCounter, get_registry
 from ..parallel import shared
 from ..parallel.kernels import contains_view_kernel
 from ..parallel.pool import current_pool
@@ -78,6 +78,9 @@ MIN_FRAGMENT_EDGES = 3
 #: Default view budget: enough for hundreds of fragment views at
 #: serving-scale universes while bounding worst-case residency.
 DEFAULT_FRAGMENT_BUDGET = 4 << 20
+
+# Per-drain timing counter, resolved once rather than by name per drain.
+_DRAIN_NS = BoundCounter("covindex.frag.drain_ns")
 
 
 # ----------------------------------------------------------------------
@@ -210,15 +213,13 @@ class FragmentNetwork:
         self._fragments: dict[tuple, _FragmentState] = {}
         self._chains: dict[tuple, list[tuple]] = {}
         self._view_token: int | None = None
-        self._counter_cache: tuple | None = None
         self._publish_gauges()
 
     def __getstate__(self):
-        # Published host views and cached registry counters are
-        # process-local; copies republish / re-resolve lazily.
+        # Published host views are process-local; copies republish
+        # lazily.
         state = self.__dict__.copy()
         state["_view_token"] = None
-        state["_counter_cache"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -421,20 +422,10 @@ class FragmentNetwork:
                 if mask is None
                 else mask & state.match_bits
             )
-        self._record_drain_ns(started)
+        _DRAIN_NS.add(time.perf_counter_ns() - started)
         if mask is not None:
             get_registry().counter("covindex.frag.mask_queries").add(1)
         return mask
-
-    def _record_drain_ns(self, started: int) -> None:
-        registry = get_registry()
-        cached = self._counter_cache
-        if cached is None or cached[0] is not registry:
-            cached = self._counter_cache = (
-                registry,
-                registry.counter("covindex.frag.drain_ns"),
-            )
-        cached[1].add(time.perf_counter_ns() - started)
 
     # ------------------------------------------------------------------
     # incremental maintenance

@@ -65,7 +65,7 @@ from collections.abc import Iterator, Mapping
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
 from ..isomorphism.invariants import multiset_dominates
-from ..obs import get_registry
+from ..obs import BoundCounter, get_registry
 from .bitset import bits_of, ids_of, make_ops, resolve_substrate, words_to_int
 
 try:
@@ -90,6 +90,11 @@ BULK_COUNT_CAP = 8
 
 #: Saturation cap for vertex degrees in ``("deg", label, d)`` keys.
 DEGREE_CAP = 4
+
+# Filter-query counters, resolved once rather than by name per query.
+_FILTER_QUERIES = BoundCounter("covindex.filter_queries")
+_CANDIDATES_KEPT = BoundCounter("covindex.candidates_kept")
+_CANDIDATES_PRUNED = BoundCounter("covindex.candidates_pruned")
 
 
 def _neighbor_label_counts(
@@ -421,30 +426,6 @@ class CoverageIndex:
         # Lazily built per-graph tables for vertex_domains:
         # graph id -> label -> [(vertex, degree, neighbour label counts)].
         self._signature_tables: dict[int, dict] = {}
-        # Hot-path counter objects, cached per registry identity (the
-        # ambient registry can be swapped; counters within one never
-        # are) — saves three name lookups per filter query.
-        self._counter_cache: tuple | None = None
-
-    def __getstate__(self):
-        # Counter objects carry locks — drop the cache when the index
-        # is copied/pickled (maintenance snapshots pickle engines);
-        # it repopulates on the next filter query.
-        state = self.__dict__.copy()
-        state["_counter_cache"] = None
-        return state
-
-    def _query_counters(self):
-        registry = get_registry()
-        cached = self._counter_cache
-        if cached is None or cached[0] is not registry:
-            cached = self._counter_cache = (
-                registry,
-                registry.counter("covindex.filter_queries"),
-                registry.counter("covindex.candidates_kept"),
-                registry.counter("covindex.candidates_pruned"),
-            )
-        return cached
 
     @property
     def ops(self):
@@ -610,8 +591,7 @@ class CoverageIndex:
         substrate's win is confined to where the row stack makes it
         real.  This is the engine-facing hot path.
         """
-        _, queries, kept_counter, pruned_counter = self._query_counters()
-        queries.add(1)
+        _FILTER_QUERIES.add(1)
         if self._matrix is None:
             bits = (
                 self._universe
@@ -624,8 +604,8 @@ class CoverageIndex:
                 if not bits:
                     break
             kept = bits.bit_count()
-            kept_counter.add(kept)
-            pruned_counter.add(before - kept)
+            _CANDIDATES_KEPT.add(kept)
+            _CANDIDATES_PRUNED.add(before - kept)
             return bits
         base = (
             self._universe
@@ -640,8 +620,8 @@ class CoverageIndex:
         else:
             value = base & words_to_int(self._matrix.reduce(rows))
             kept = value.bit_count()
-        kept_counter.add(kept)
-        pruned_counter.add(before - kept)
+        _CANDIDATES_KEPT.add(kept)
+        _CANDIDATES_PRUNED.add(before - kept)
         return value
 
     def candidate_bits(

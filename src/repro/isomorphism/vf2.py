@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping, Set
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
-from ..obs import get_registry
+from ..obs import BoundCounter
 from ..resilience.budget import CHECK_STRIDE, current_budget
 from ..resilience.faults import trip
 from .invariants import invariant_prefilter
@@ -37,6 +37,13 @@ Assignment = dict[VertexId, VertexId]
 #: Candidate domains: pattern vertex → host vertices it may map to.
 #: Vertices absent from the mapping are unrestricted.
 Domains = Mapping[VertexId, Set[VertexId]]
+
+# Match counters, resolved once rather than by name on every match.
+_CALLS = BoundCounter("vf2.calls")
+_PREFILTER_CUTOFFS = BoundCounter("vf2.prefilter_cutoffs")
+_SEARCHES = BoundCounter("vf2.searches")
+_STATES_EXPLORED = BoundCounter("vf2.states_explored")
+_BACKTRACKS = BoundCounter("vf2.backtracks")
 
 
 class VF2Matcher:
@@ -82,7 +89,7 @@ class VF2Matcher:
     def has_match(self) -> bool:
         """True iff at least one embedding of pattern into host exists."""
         if not self._prefilter():
-            get_registry().counter("vf2.prefilter_cutoffs").add(1)
+            _PREFILTER_CUTOFFS.add(1)
             return False
         for _ in self._match():
             return True
@@ -91,14 +98,14 @@ class VF2Matcher:
     def matches(self) -> Iterator[Assignment]:
         """Yield embeddings as pattern-vertex → host-vertex dicts."""
         if not self._prefilter():
-            get_registry().counter("vf2.prefilter_cutoffs").add(1)
+            _PREFILTER_CUTOFFS.add(1)
             return
         yield from self._match()
 
     def count_matches(self, limit: int | None = None) -> int:
         """Count embeddings, optionally stopping at *limit*."""
         if not self._prefilter():
-            get_registry().counter("vf2.prefilter_cutoffs").add(1)
+            _PREFILTER_CUTOFFS.add(1)
             return 0
         count = 0
         for _ in self._match():
@@ -112,7 +119,7 @@ class VF2Matcher:
     # ------------------------------------------------------------------
     def _prefilter(self) -> bool:
         """Cheap necessary conditions for a match to exist."""
-        get_registry().counter("vf2.calls").add(1)
+        _CALLS.add(1)
         if not invariant_prefilter(self.pattern, self.host):
             return False
         if self._domains is not None:
@@ -273,7 +280,6 @@ class VF2Matcher:
                             used.discard(mapping[prior])
                             del mapping[prior]
         finally:
-            registry = get_registry()
-            registry.counter("vf2.searches").add(1)
-            registry.counter("vf2.states_explored").add(states_explored)
-            registry.counter("vf2.backtracks").add(backtracks)
+            _SEARCHES.add(1)
+            _STATES_EXPLORED.add(states_explored)
+            _BACKTRACKS.add(backtracks)

@@ -46,6 +46,10 @@ class PruningContext:
         self._union_cover = oracle.union_cover(self._patterns)
         self._min_unique = self._minimum_unique_cover()
         self._edge_cover_cache: dict[EdgeLabel, frozenset[int]] = {}
+        # Gate verdicts and priorities are pure in the context, which
+        # lives for one round: memoised per label.
+        self._gate_cache: dict[EdgeLabel, bool] = {}
+        self._priority_cache: dict[EdgeLabel, float] = {}
 
     # ------------------------------------------------------------------
     def _minimum_unique_cover(self) -> int:
@@ -93,8 +97,11 @@ class PruningContext:
 
     def edge_gate(self, label: EdgeLabel) -> bool:
         """Equation 2: admit the edge unless its marginal cover is low."""
-        marginal = len(self.edge_cover(label) - self._union_cover)
-        return marginal >= self.threshold
+        verdict = self._gate_cache.get(label)
+        if verdict is None:
+            marginal = len(self.edge_cover(label) - self._union_cover)
+            verdict = self._gate_cache[label] = marginal >= self.threshold
+        return verdict
 
     def edge_priority(self, label: EdgeLabel) -> float:
         """How specific an edge is to the *uncovered* part of the sample.
@@ -108,11 +115,14 @@ class PruningContext:
         guidance signal: the candidate generator biases walk seeds and
         growth toward high-priority edges, complementing the hard gate.
         """
-        cover = self.edge_cover(label)
-        if not cover:
-            return 0.0
-        marginal = len(cover - self._union_cover)
-        return marginal / len(cover)
+        priority = self._priority_cache.get(label)
+        if priority is None:
+            cover = self.edge_cover(label)
+            priority = (
+                len(cover - self._union_cover) / len(cover) if cover else 0.0
+            )
+            self._priority_cache[label] = priority
+        return priority
 
     # ------------------------------------------------------------------
     def is_promising(self, candidate: LabeledGraph) -> bool:

@@ -123,6 +123,9 @@ class MultiScanSwapper:
         # own certificate).
         self._ged_cache: dict[tuple, float] = {}
         self._degraded_distances = 0
+        # Memo hits/misses, counted locally and published by run().
+        self._ged_hits = 0
+        self._ged_misses = 0
 
     # ------------------------------------------------------------------
     # scores and set-level quality
@@ -133,7 +136,7 @@ class MultiScanSwapper:
         )
         cached = self._ged_cache.get(pair)
         if cached is None:
-            get_registry().counter("swap.ged_cache_misses").add(1)
+            self._ged_misses += 1
             result = resilient_ged(first, second, method=self.ged_method)
             cached = float(result.value)
             if result.degraded:
@@ -143,7 +146,7 @@ class MultiScanSwapper:
             else:
                 self._ged_cache[pair] = cached
         else:
-            get_registry().counter("swap.ged_cache_hits").add(1)
+            self._ged_hits += 1
         return cached
 
     def _diversity(
@@ -298,6 +301,8 @@ class MultiScanSwapper:
                 raise
             outcome.truncated = True
             anytime_degradation("midas.swap")
+        finally:
+            self._flush_ged_counts()
         outcome.degraded_distances = self._degraded_distances
         registry = get_registry()
         registry.counter("swap.scans").add(outcome.scans)
@@ -306,6 +311,17 @@ class MultiScanSwapper:
         )
         registry.counter("swap.swaps").add(outcome.num_swaps)
         return outcome
+
+    def _flush_ged_counts(self) -> None:
+        """Publish the GED memo hits/misses counted since the last flush."""
+        registry = get_registry()
+        for name, count in (
+            ("swap.ged_cache_hits", self._ged_hits),
+            ("swap.ged_cache_misses", self._ged_misses),
+        ):
+            if count:
+                registry.counter(name).add(count)
+        self._ged_hits = self._ged_misses = 0
 
     def _run_scans(
         self,

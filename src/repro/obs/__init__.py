@@ -21,6 +21,7 @@ from .export import (
     write_metrics_json,
 )
 from .registry import (
+    BoundCounter,
     Counter,
     Gauge,
     Histogram,
@@ -42,6 +43,7 @@ from .spans import (
 )
 
 __all__ = [
+    "BoundCounter",
     "Counter",
     "Gauge",
     "Histogram",

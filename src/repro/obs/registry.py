@@ -16,7 +16,8 @@ All three live in a :class:`MetricsRegistry`.  A thread-safe process
 default is reachable through :func:`get_registry` and the module-level
 :func:`counter` / :func:`gauge` / :func:`histogram` helpers, which is
 what the instrumented subsystems use; tests may install an isolated
-registry with :func:`set_registry`.
+registry with :func:`set_registry`.  Paths too hot for a name lookup
+per event hold a :class:`BoundCounter` instead.
 
 Every metric name in use is catalogued in ``docs/OBSERVABILITY.md``
 (enforced by ``tests/test_docs.py``).
@@ -160,6 +161,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        # Bumped by clear(): metric objects handed out before it are
+        # no longer registered, so bound references must re-resolve.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def _get_or_create(self, name: str, cls):
@@ -254,6 +258,7 @@ class MetricsRegistry:
         """Drop every metric registration."""
         with self._lock:
             self._metrics.clear()
+            self.generation += 1
 
 
 _default_registry = MetricsRegistry()
@@ -270,6 +275,37 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _default_registry
     _default_registry = registry
     return previous
+
+
+class BoundCounter:
+    """A default-registry counter resolved once, not once per event.
+
+    Re-resolves when the default registry is swapped
+    (:func:`set_registry`) or cleared (:meth:`MetricsRegistry.clear`),
+    so it always counts into the counter a by-name lookup would return.
+    Module-level instances suit hot loops (VF2, covindex filtering).
+    """
+
+    __slots__ = ("name", "_registry", "_generation", "_counter")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._registry: MetricsRegistry | None = None
+        self._generation = -1
+        self._counter: Counter | None = None
+
+    def add(self, amount: int = 1) -> None:
+        registry = _default_registry
+        if (
+            registry is not self._registry
+            or registry.generation != self._generation
+        ):
+            # Counter first: a reader that sees the new registry and
+            # generation also sees the counter resolved against them.
+            self._counter = registry.counter(self.name)
+            self._generation = registry.generation
+            self._registry = registry
+        self._counter.add(amount)
 
 
 def counter(name: str) -> Counter:

@@ -16,6 +16,12 @@ from repro.catapult import (
     edge_label_document_frequency,
     grow_candidate,
 )
+from repro.check.oracles import (
+    _candidate_trace,
+    _literal_generate,
+    _literal_grow,
+    _literal_traversal_counts,
+)
 from repro.csg import SummaryGraph, build_csg
 from repro.graph import edge_key
 from repro.patterns import PatternBudget
@@ -82,6 +88,157 @@ class TestRandomWalker:
         c1 = RandomWalker(csg, weights, random.Random(7)).traversal_counts(30, 6)
         c2 = RandomWalker(csg, weights, random.Random(7)).traversal_counts(30, 6)
         assert c1 == c2
+
+
+@pytest.fixture
+def walk_csg():
+    """A CSG with a ring, a pendant chain and an isolated vertex."""
+    csg = SummaryGraph(0)
+    csg.add_graph(
+        1,
+        make_graph(
+            "CCCCONS",
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)],
+        ),
+    )
+    csg.add_graph(2, make_graph("P", []))
+    return csg
+
+
+def _walk_both(csg, weights, seed, num_walks, walk_length):
+    """(table walk counts, RNG state) and the literal loop's."""
+    rng = random.Random(seed)
+    got = RandomWalker(csg, weights, rng).traversal_counts(
+        num_walks, walk_length
+    )
+    reference = random.Random(seed)
+    want = _literal_traversal_counts(
+        csg, weights, reference, num_walks, walk_length
+    )
+    return (got, rng.getstate()), (want, reference.getstate())
+
+
+class TestWalkTables:
+    def test_csg_weights(self, summary):
+        csg, graphs = summary
+        weights = csg_edge_weights(
+            csg, edge_label_document_frequency(graphs), len(graphs)
+        )
+        for seed in range(5):
+            got, want = _walk_both(csg, weights, seed, 50, 8)
+            assert got == want
+
+    def test_all_zero_weights_and_isolated_vertex(self, walk_csg):
+        # Every draw falls back to uniform, so walks also enter the
+        # isolated vertex and stop there at once.
+        weights = dict.fromkeys(walk_csg.edges(), 0.0)
+        got, want = _walk_both(walk_csg, weights, 3, 200, 6)
+        assert got == want
+
+    def test_vertex_with_all_zero_incident_weights(self, walk_csg):
+        weights = {edge: 1.0 + i for i, edge in enumerate(walk_csg.edges())}
+        for edge in weights:
+            if 6 in edge:  # the chain's tail vertex
+                weights[edge] = 0.0
+        got, want = _walk_both(walk_csg, weights, 5, 200, 10)
+        assert got == want
+
+    def test_equal_weights(self, walk_csg):
+        weights = dict.fromkeys(walk_csg.edges(), 0.25)
+        got, want = _walk_both(walk_csg, weights, 11, 100, 12)
+        assert got == want
+
+    def test_long_walk(self, walk_csg):
+        weights = {
+            edge: 0.1 * (i % 3 + 1) for i, edge in enumerate(walk_csg.edges())
+        }
+        got, want = _walk_both(walk_csg, weights, 2, 20, 500)
+        assert got == want
+        assert sum(got[0].values()) > 0
+
+    def test_rng_state_carries_over(self, summary):
+        """Consecutive walkers share one RNG, as summaries do in
+        generation: each must leave the state the literal loop would."""
+        csg, graphs = summary
+        weights = csg_edge_weights(
+            csg, edge_label_document_frequency(graphs), len(graphs)
+        )
+        rng, reference = random.Random(9), random.Random(9)
+        for _ in range(3):
+            got = RandomWalker(csg, weights, rng).traversal_counts(30, 6)
+            want = _literal_traversal_counts(csg, weights, reference, 30, 6)
+            assert got == want
+            assert rng.getstate() == reference.getstate()
+
+
+class TestPrefixGrowth:
+    """One growth per seed, read at every size, equals regrowing from
+    scratch per size (the literal sort-per-step frontier)."""
+
+    @staticmethod
+    def _compare(csg, counts, edge_gate=None, edge_priority=None):
+        reached = set()
+        for seed_edge in csg.edges():
+            for size in range(1, csg.num_edges + 2):
+                got = grow_candidate(
+                    csg, counts, seed_edge, size, edge_gate, edge_priority
+                )
+                want = _literal_grow(
+                    csg, counts, seed_edge, size, edge_gate, edge_priority
+                )
+                assert got == want, (seed_edge, size)
+                if got is not None:
+                    reached.add((seed_edge, size))
+        return reached
+
+    def test_tied_scores(self, summary):
+        csg, _ = summary
+        self._compare(csg, dict.fromkeys(csg.edges(), 1))
+
+    def test_distinct_scores_and_priority(self, summary):
+        csg, _ = summary
+        counts = {edge: (i * 7) % 5 for i, edge in enumerate(csg.edges())}
+        self._compare(csg, counts)
+        self._compare(
+            csg,
+            counts,
+            edge_priority=lambda label: 1.0 if "O" in label else 0.0,
+        )
+
+    def test_gate_vetoes_at_first_and_middle_steps(self, walk_csg):
+        counts = {edge: 10 - i for i, edge in enumerate(walk_csg.edges())}
+        sizes_reached = set()
+        for label in {walk_csg.edge_label(*e) for e in walk_csg.edges()}:
+            reached = self._compare(
+                walk_csg, counts, edge_gate=lambda lab, veto=label: lab != veto
+            )
+            best: dict = {}
+            for seed_edge, size in reached:
+                best[seed_edge] = max(best.get(seed_edge, 0), size)
+            sizes_reached.update(best.values())
+        # Some seed stops after one edge, another part-way.
+        assert 1 in sizes_reached
+        assert any(1 < size < walk_csg.num_edges for size in sizes_reached)
+
+    def test_stuck_frontier(self, walk_csg):
+        # The ring-and-chain component has 7 edges; larger sizes starve.
+        counts = dict.fromkeys(walk_csg.edges(), 2)
+        reached = self._compare(walk_csg, counts)
+        assert max(size for _, size in reached) == walk_csg.num_edges
+
+    def test_generator_equals_per_size_generation(self, summary):
+        csg, graphs = summary
+        budget = PatternBudget(3, 5, 9)
+        for gate in (None, lambda label: label != ("C", "S")):
+            generator = CandidateGenerator(graphs, budget, seed=4)
+            reference = random.Random(4)
+            got = generator.generate({0: csg}, edge_gate=gate)
+            want = _literal_generate(
+                generator, reference, {0: csg}, None, gate, None
+            )
+            assert got
+            assert _candidate_trace(got) == _candidate_trace(want)
+            assert generator._rng.getstate() == reference.getstate()
 
 
 class TestGrowCandidate:

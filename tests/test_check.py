@@ -162,6 +162,7 @@ class TestOracleRegistry:
             "covindex",
             "fragments",
             "ged",
+            "generate",
             "index",
             "parallel",
             "prune",

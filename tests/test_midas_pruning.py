@@ -109,6 +109,29 @@ class TestPruningContext:
             assert context.edge_cover(label) == direct.edge_cover(label)
 
 
+class TestMemoisedGateAndPriority:
+    """The per-label memo answers exactly what an uncached computation
+    from the oracle's own covers would, on first and repeated calls."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5]))
+    def test_equals_uncached_computation(self, seed, kappa):
+        graphs, displayed, _ = fuzz_case(seed)
+        fresh = CoverageOracle(graphs)
+        union = frozenset().union(*(fresh.cover(p) for p in displayed))
+        context = PruningContext(CoverageOracle(graphs), displayed, kappa)
+        labels = {
+            label for g in graphs.values() for label in g.edge_label_set()
+        } | {("X", "Y")}
+        for label in sorted(labels) * 2:
+            cover = fresh.graphs_with_edge_label(label)
+            marginal = len(cover - union)
+            assert context.edge_gate(label) == (marginal >= context.threshold)
+            assert context.edge_priority(label) == (
+                marginal / len(cover) if cover else 0.0
+            )
+
+
 # ----------------------------------------------------------------------
 # the marginal-only promising test
 # ----------------------------------------------------------------------

@@ -4,9 +4,12 @@ import threading
 
 import pytest
 
-from repro.datasets import aids_like, random_insertions
+from repro import api
+from repro.datasets import aids_like, family_injection, random_insertions
+from repro.execution import ExecutionConfig
 from repro.midas import Midas, MidasConfig
 from repro.obs import (
+    BoundCounter,
     MetricsRegistry,
     Span,
     Stopwatch,
@@ -118,6 +121,69 @@ class TestRegistry:
             assert previous.get("x") is None
         finally:
             set_registry(previous)
+
+
+class TestBoundCounters:
+    #: Totals of the hot-path counters on :meth:`_workload`, measured
+    #: with by-name lookups on every event (before VF2, covindex and
+    #: swap bound or batched them).
+    EXPECTED = {
+        "vf2.calls": 3875,
+        "vf2.prefilter_cutoffs": 1032,
+        "vf2.searches": 2843,
+        "vf2.states_explored": 34995,
+        "vf2.backtracks": 22254,
+        "swap.ged_cache_hits": 91,
+        "swap.ged_cache_misses": 21,
+        "covindex.filter_queries": 36,
+        "covindex.candidates_kept": 232,
+        "covindex.candidates_pruned": 920,
+    }
+
+    @staticmethod
+    def _workload() -> dict[str, int | None]:
+        config = MidasConfig(
+            budget=PatternBudget(3, 5, 6),
+            num_clusters=3,
+            sample_cap=40,
+            seed=5,
+            epsilon=0.0,
+        )
+        midas = api.bootstrap(
+            aids_like(24, seed=11),
+            config=config,
+            execution=ExecutionConfig(covindex=True, fragments=True),
+        )
+        api.maintain(midas, family_injection(8, seed=3))
+        registry = get_registry()
+        return {
+            name: getattr(registry.get(name), "value", None)
+            for name in TestBoundCounters.EXPECTED
+        }
+
+    def test_follows_swapped_and_cleared_registry(self):
+        bound = BoundCounter("bound.test")
+        bound.add(2)
+        assert get_registry().counter("bound.test").value == 2
+        isolated = MetricsRegistry()
+        previous = set_registry(isolated)
+        try:
+            bound.add(3)
+            assert isolated.counter("bound.test").value == 3
+            isolated.clear()
+            bound.add(4)
+            assert isolated.counter("bound.test").value == 4
+        finally:
+            set_registry(previous)
+        bound.add(1)
+        assert get_registry().counter("bound.test").value == 3
+
+    def test_workload_totals_survive_reset_and_clear(self):
+        assert self._workload() == self.EXPECTED
+        reset_all()
+        assert self._workload() == self.EXPECTED
+        get_registry().clear()
+        assert self._workload() == self.EXPECTED
 
 
 class TestSpans:
