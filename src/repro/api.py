@@ -23,22 +23,16 @@ replaced the per-call resilience kwargs.  Results are the existing
 dataclasses (:class:`~repro.catapult.pipeline.CatapultResult`,
 :class:`~repro.midas.maintainer.MaintenanceReport`), so downstream code
 keeps working unchanged.
-
-The pre-1.1 signatures took the database as a keyword named
-``database``; that spelling still works through a
-:class:`DeprecationWarning` shim and will be removed in a later
-release.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
 from .catapult.pipeline import Catapult, CatapultConfig, CatapultPlusPlus, CatapultResult
 from .execution import ExecutionConfig
-from .graph.database import BatchUpdate, GraphDatabase
+from .graph.database import BatchUpdate
 from .midas.config import MidasConfig
 from .midas.maintainer import MaintenanceReport, Midas
 from .patterns.budget import PatternBudget
@@ -50,25 +44,9 @@ def _with_execution(config, execution: ExecutionConfig | None):
     return config if execution is None else replace(config, execution=execution)
 
 
-def _resolve_store(store, database, caller: str) -> GraphStore:
-    """Resolve the positional *store* argument, honouring the deprecated
-    ``database=`` keyword spelling."""
-    if database is not None:
-        if store is not None:
-            raise TypeError(
-                f"{caller}() got both 'store' and the deprecated "
-                f"'database' argument; pass one"
-            )
-        warnings.warn(
-            f"the 'database' keyword of repro.api.{caller}() is "
-            f"deprecated; pass the store positionally (any GraphStore, "
-            f"or a spec for open_store)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        store = database
-    if store is None:
-        raise TypeError(f"{caller}() missing required argument: 'store'")
+def _resolve_store(store, caller: str) -> GraphStore:
+    """Resolve the *store* argument: a GraphStore, or a spec for
+    :func:`open_store`."""
     if isinstance(store, GraphStore):
         return store
     if isinstance(store, (str, Path)):
@@ -80,13 +58,12 @@ def _resolve_store(store, database, caller: str) -> GraphStore:
 
 
 def select(
-    store: GraphStore | str | Path | None = None,
+    store: GraphStore | str | Path,
     budget: PatternBudget | None = None,
     *,
     config: CatapultConfig | None = None,
     execution: ExecutionConfig | None = None,
     plus_plus: bool = True,
-    database: GraphDatabase | None = None,
 ) -> CatapultResult:
     """Select a canned pattern set for the graphs in *store* from scratch.
 
@@ -108,10 +85,8 @@ def select(
     plus_plus:
         Run CATAPULT++ (closed features + FCT/IFE indices, the variant
         MIDAS builds on) rather than baseline CATAPULT.
-    database:
-        Deprecated alias for *store* (pre-1.1 keyword spelling).
     """
-    resolved = _resolve_store(store, database, "select")
+    resolved = _resolve_store(store, "select")
     config = config or CatapultConfig()
     if budget is not None:
         config = replace(config, budget=budget)
@@ -121,19 +96,17 @@ def select(
 
 
 def bootstrap(
-    store: GraphStore | str | Path | None = None,
+    store: GraphStore | str | Path,
     *,
     config: MidasConfig | None = None,
     execution: ExecutionConfig | None = None,
-    database: GraphDatabase | None = None,
 ) -> Midas:
     """Build a maintainer over *store* with one CATAPULT++ run.
 
     *store* is any :class:`~repro.store.base.GraphStore` or a spec for
-    :func:`open_store`; *database* is the deprecated pre-1.1 keyword
-    spelling of the same argument.
+    :func:`open_store`.
     """
-    resolved = _resolve_store(store, database, "bootstrap")
+    resolved = _resolve_store(store, "bootstrap")
     config = _with_execution(config or MidasConfig(), execution)
     return Midas.bootstrap(resolved, config)
 

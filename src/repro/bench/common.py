@@ -134,7 +134,7 @@ def bootstrap_approaches(
 def _result_of(midas: Midas):
     """Re-wrap a Midas instance's state as a CatapultResult-like view."""
     from ..catapult.pipeline import CatapultResult
-    from ..utils.timing import Stopwatch
+    from ..obs import Stopwatch
 
     return CatapultResult(
         patterns=midas.patterns,

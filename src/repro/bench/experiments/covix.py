@@ -33,31 +33,15 @@ Two payoff gates:
   :data:`MIN_FILTER_SPEEDUP` ×; below that the row is informational —
   tiny universes fit in a machine word either way and the comparison
   is noise (docs/PERFORMANCE.md).
-
-A final probe measures what persistent workers ship across the process
-boundary: the same containment fan-out runs once through the legacy
-host-pickling kernel and once through ``contains_view_kernel`` against
-a published :class:`~repro.parallel.shared.HostView`, comparing
-``parallel.bytes_pickled`` deltas.  The view path must ship strictly
-fewer bytes (and identical verdicts); the probe is skipped on
-platforms without the ``fork`` start method.
 """
 
 from __future__ import annotations
 
 from ...cache.keys import graph_key
-from ...covindex.bitset import available_substrates
+from ...covindex.bitset import available_substrates, use_substrate
 from ...execution import ExecutionConfig
-from ...graph.labeled_graph import LabeledGraph
 from ...midas import Midas
 from ...obs import get_registry
-from ...parallel import (
-    contains_kernel,
-    contains_view_kernel,
-    publish_view,
-    retire_view,
-)
-from ...parallel.pool import KernelPool, _fork_context
 from ...patterns import pattern_set_quality
 from ..common import (
     DEFAULT_SCALE,
@@ -87,17 +71,6 @@ MIN_GATE_GRAPHS = 400
 #: always reference live graph IDs.
 NUM_ROUNDS = 4
 
-#: Minimum acceptable further ``vf2.cover_calls`` reduction the fragment
-#: network must deliver over the engine-only baseline on the
-#: overlapping-pattern probe workload.
-FRAG_MIN_VF2_REDUCTION = 1.5
-
-#: The decoration labels of the overlapping-pattern probe.  They sort
-#: after "N", so the canonical growth order exhausts the shared (C, N)
-#: core before any decoration edge — all probe patterns then share one
-#: fragment chain.
-_PROBE_DECORATIONS = ("O", "P", "S", "T")
-
 
 def _round_signature(midas: Midas) -> tuple:
     """Everything algorithmic about the maintainer's current state."""
@@ -111,17 +84,15 @@ def _round_signature(midas: Midas) -> tuple:
 
 
 def _trajectory(
-    scale: ExperimentScale,
-    covindex: bool,
-    substrate: str | None = None,
-    fragments: bool = False,
+    scale: ExperimentScale, covindex: bool
 ) -> tuple[list, dict[str, int]]:
-    """Bootstrap + sequential batch grid; returns (trace, counter deltas)."""
+    """Bootstrap + sequential batch grid; returns (trace, counter deltas).
+
+    Engine-on indices are built on the ambient substrate
+    (:func:`~repro.covindex.bitset.use_substrate`).
+    """
     config = default_config(
-        scale,
-        execution=ExecutionConfig(
-            covindex=covindex, substrate=substrate, fragments=fragments
-        ),
+        scale, execution=ExecutionConfig(covindex=covindex)
     )
     base = dataset("aids", scale.base_graphs, scale.seed)
     registry = get_registry()
@@ -146,188 +117,20 @@ def _trajectory(
     return trace, registry.counter_deltas(before)
 
 
-def _probe_core() -> LabeledGraph:
-    """The shared 6-edge alternating C/N path core of the probe family."""
-    graph = LabeledGraph()
-    for i, label in enumerate("CNCNCNC"):
-        graph.add_vertex(i, label)
-    for i in range(6):
-        graph.add_edge(i, i + 1)
-    return graph
-
-
-def _probe_pattern(label: str, position: int) -> LabeledGraph:
-    """Core + one decoration leaf: 16 non-isomorphic 7-edge patterns."""
-    graph = _probe_core()
-    graph.add_vertex(100, label)
-    graph.add_edge(position, 100)
-    return graph
-
-
-def _probe_container() -> LabeledGraph:
-    """A host containing every probe pattern (core fully decorated)."""
-    graph = _probe_core()
-    vertex = 100
-    for position in range(7):
-        for label in _PROBE_DECORATIONS:
-            graph.add_vertex(vertex, label)
-            graph.add_edge(position, vertex)
-            vertex += 1
-    return graph
-
-
-def _probe_decoy() -> LabeledGraph:
-    """A host passing every pattern's posting filter but containing none.
-
-    A four-legged spider (center C, legs N–C–N) with one decoration
-    leaf per label on a leg C and a leg N: its vertex/edge-label,
-    degree, neighbor and wedge counts dominate every probe pattern's,
-    but its longest alternating C/N path is leg-to-leg — six edges,
-    N-ended — so it never embeds the C-ended core.  The posting filter
-    keeps it for all 16 patterns; only verification (of the pattern, or
-    once of the shared core fragment) rejects it.
-    """
-    graph = LabeledGraph()
-    graph.add_vertex(0, "C")
-    vertex = 1
-    for leg in range(4):
-        inner_n, mid_c, end_n = vertex, vertex + 1, vertex + 2
-        vertex += 3
-        graph.add_vertex(inner_n, "N")
-        graph.add_vertex(mid_c, "C")
-        graph.add_vertex(end_n, "N")
-        graph.add_edge(0, inner_n)
-        graph.add_edge(inner_n, mid_c)
-        graph.add_edge(mid_c, end_n)
-        label = _PROBE_DECORATIONS[leg]
-        graph.add_vertex(vertex, label)
-        graph.add_edge(mid_c, vertex)
-        vertex += 1
-        graph.add_vertex(vertex, label)
-        graph.add_edge(inner_n, vertex)
-        vertex += 1
-    return graph
-
-
-def _overlapping_probe(
-    scale: ExperimentScale,
-) -> tuple[bool, int, int, float]:
-    """(covers_identical, off_calls, on_calls, reduction) for the
-    overlapping-pattern workload.
-
-    Sixteen 7-edge patterns sharing one canonical 6-edge core query a
-    database dominated by filter-passing decoys, first on the initial
-    view and again after an insertion batch (the delta path).  With the
-    network off, every pattern pays a VF2 rejection per decoy; with it
-    on, each decoy is rejected once at the shared core fragment and the
-    mask prunes it from all sixteen patterns.
-    """
-    from ...covindex.fragments import use_fragments
-    from ...covindex.engine import use_covindex
-    from ...patterns.metrics import CoverageOracle
-
-    patterns = [
-        _probe_pattern(label, position)
-        for label in _PROBE_DECORATIONS
-        for position in range(4)
-    ]
-    num_containers = max(4, scale.base_graphs // 100)
-    num_decoys = 6 * num_containers
-    graphs: dict[int, LabeledGraph] = {}
-    for graph_id in range(num_containers):
-        graphs[graph_id] = _probe_container()
-    for graph_id in range(num_containers, num_containers + num_decoys):
-        graphs[graph_id] = _probe_decoy()
-    next_id = num_containers + num_decoys
-    batch = {next_id: _probe_container()}
-    for graph_id in range(next_id + 1, next_id + 1 + num_decoys // 2):
-        batch[graph_id] = _probe_decoy()
-
-    registry = get_registry()
-    calls: dict[bool, int] = {}
-    covers: dict[bool, list] = {}
-    for fragments in (False, True):
-        with use_covindex(True), use_fragments(fragments):
-            oracle = CoverageOracle(dict(graphs))
-        before = registry.counter_values()
-        trace = [oracle.cover(pattern) for pattern in patterns]
-        oracle.apply_update(batch, [])
-        trace.extend(oracle.cover(pattern) for pattern in patterns)
-        calls[fragments] = registry.counter_deltas(before).get(
-            "vf2.cover_calls", 0
-        )
-        covers[fragments] = trace
-    identical = covers[False] == covers[True]
-    reduction = (
-        calls[False] / calls[True] if calls[True] else float("inf")
-    )
-    return identical, calls[False], calls[True], reduction
-
-
-def _fanout_bytes_probe(
-    scale: ExperimentScale,
-) -> tuple[int, int, bool] | None:
-    """(view_bytes, legacy_bytes, verdicts_identical) — or None w/o fork.
-
-    The same containment fan-out over the same hosts, once shipping
-    only ``(graph_id, domains)`` against a published view and once
-    pickling every host graph, both through a real 2-worker pool.
-    """
-    if _fork_context() is None:
-        return None
-    count = max(16, min(scale.base_graphs, 64))
-    graphs = dict(dataset("aids", count, scale.seed).items())
-    ids = sorted(graphs)
-    pattern = LabeledGraph.from_edges({0: "C", 1: "C"}, [(0, 1)])
-    registry = get_registry()
-    view = publish_view(graphs)
-    try:
-        with KernelPool(2, force=True) as pool:
-            before = registry.counter_values()
-            view_verdicts = pool.map(
-                contains_view_kernel,
-                [(graph_id, None) for graph_id in ids],
-                payload=(view.view_id, view.generation, pattern),
-            )
-            view_bytes = registry.counter_deltas(before).get(
-                "parallel.bytes_pickled", 0
-            )
-            before = registry.counter_values()
-            legacy_verdicts = pool.map(
-                contains_kernel,
-                [graphs[graph_id] for graph_id in ids],
-                payload=pattern,
-            )
-            legacy_bytes = registry.counter_deltas(before).get(
-                "parallel.bytes_pickled", 0
-            )
-    finally:
-        retire_view(view.view_id)
-    return view_bytes, legacy_bytes, view_verdicts == legacy_verdicts
-
-
 def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
     rounds = NUM_ROUNDS + 1  # bootstrap counts: it filters too
     numpy_available = "numpy" in available_substrates()
 
     off_trace, off_counters = _trajectory(scale, covindex=False)
-    int_trace, int_counters = _trajectory(
-        scale, covindex=True, substrate="int"
-    )
+    with use_substrate("int"):
+        int_trace, int_counters = _trajectory(scale, covindex=True)
     if numpy_available:
-        numpy_trace, numpy_counters = _trajectory(
-            scale, covindex=True, substrate="numpy"
-        )
+        with use_substrate("numpy"):
+            numpy_trace, numpy_counters = _trajectory(scale, covindex=True)
     else:
         numpy_trace, numpy_counters = int_trace, int_counters
-    frag_trace, frag_counters = _trajectory(
-        scale,
-        covindex=True,
-        substrate="numpy" if numpy_available else "int",
-        fragments=True,
-    )
 
-    identical = off_trace == int_trace == numpy_trace == frag_trace
+    identical = off_trace == int_trace == numpy_trace
     on_counters = numpy_counters if numpy_available else int_counters
     off_calls = off_counters.get("vf2.cover_calls", 0)
     on_calls = on_counters.get("vf2.cover_calls", 0)
@@ -358,18 +161,6 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
     else:
         numpy_per_round = 0.0
         speedup = float("nan")
-
-    (
-        frag_covers_identical,
-        frag_off_calls,
-        frag_on_calls,
-        frag_reduction,
-    ) = _overlapping_probe(scale)
-    registry.gauge("covindex.trend.frag_cover_call_reduction").set(
-        frag_reduction if frag_reduction != float("inf") else 0.0
-    )
-
-    probe = _fanout_bytes_probe(scale)
 
     table = ExperimentTable(
         title=(
@@ -415,25 +206,6 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
         float(on_counters.get("covindex.dirty_graphs", 0)),
         "dirty graphs in ratio column",
     )
-    table.add_row(
-        "frag.cover_calls",
-        frag_off_calls,
-        frag_on_calls,
-        frag_reduction,
-        (
-            "ok"
-            if frag_covers_identical
-            and frag_reduction >= FRAG_MIN_VF2_REDUCTION
-            else ("MISMATCH" if not frag_covers_identical else "BELOW_FLOOR")
-        ),
-    )
-    table.add_row(
-        "frag.verifications",
-        0,
-        frag_counters.get("covindex.frag.verifications", 0),
-        float(frag_counters.get("covindex.frag.pruned", 0)),
-        "trajectory totals; pruned candidates in ratio column",
-    )
     if numpy_available:
         filter_status = (
             ("ok" if speedup >= MIN_FILTER_SPEEDUP else "BELOW_FLOOR")
@@ -455,24 +227,6 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
             float("nan"),
             "numpy unavailable — int substrate only",
         )
-    if probe is None:
-        table.add_row(
-            "fanout_bytes", 0, 0, float("nan"), "skipped (no fork)"
-        )
-    else:
-        view_bytes, legacy_bytes, verdicts_match = probe
-        bytes_ok = verdicts_match and view_bytes < legacy_bytes
-        table.add_row(
-            "fanout_bytes",
-            legacy_bytes,
-            view_bytes,
-            legacy_bytes / view_bytes if view_bytes else float("inf"),
-            (
-                "view ships less"
-                if bytes_ok
-                else ("MISMATCH" if not verdicts_match else "NO_SAVINGS")
-            ),
-        )
     table.add_note(
         "trace = per-round (db ids, pattern keys, scov, lcov, "
         "classification, swaps); must be byte-identical across engine "
@@ -482,30 +236,11 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
         "filter_ns_per_round = covindex.filter_ns per trajectory round; "
         "baseline column is the int substrate, engine_on is numpy"
     )
-    table.add_note(
-        "frag.cover_calls = the overlapping-pattern probe (16 patterns "
-        "sharing one canonical core over filter-passing decoys): "
-        "fragment network off vs on, identical covers required, "
-        f"reduction floor {FRAG_MIN_VF2_REDUCTION:.1f}x"
-    )
     if not identical:
         raise RuntimeError(
-            "covix figure failed: engine/substrate/fragment trajectories "
-            "diverged (soundness bug in the coverage filter, bitset "
-            "substrate or fragment network)"
-        )
-    if not frag_covers_identical:
-        raise RuntimeError(
-            "covix figure failed: fragment-network covers diverged from "
-            "the engine-only baseline on the overlapping-pattern probe"
-        )
-    if frag_reduction < FRAG_MIN_VF2_REDUCTION:
-        raise RuntimeError(
-            "covix figure failed: fragment-network VF2 call reduction "
-            f"{frag_reduction:.2f}x below the "
-            f"{FRAG_MIN_VF2_REDUCTION:.1f}x floor "
-            f"({frag_off_calls} -> {frag_on_calls} vf2.cover_calls on "
-            "the overlapping-pattern probe)"
+            "covix figure failed: engine/substrate trajectories "
+            "diverged (soundness bug in the coverage filter or bitset "
+            "substrate)"
         )
     if reduction < MIN_VF2_REDUCTION:
         raise RuntimeError(
@@ -519,24 +254,10 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
             f"{speedup:.2f}x below the {MIN_FILTER_SPEEDUP:.1f}x floor "
             f"({int_per_round:.0f} -> {numpy_per_round:.0f} ns/round)"
         )
-    if probe is not None:
-        view_bytes, legacy_bytes, verdicts_match = probe
-        if not verdicts_match:
-            raise RuntimeError(
-                "covix figure failed: view-kernel verdicts diverged from "
-                "the host-shipping kernel"
-            )
-        if view_bytes >= legacy_bytes:
-            raise RuntimeError(
-                "covix figure failed: view fan-out pickled "
-                f"{view_bytes} bytes, not less than the host-shipping "
-                f"baseline's {legacy_bytes}"
-            )
     return table
 
 
 __all__ = [
-    "FRAG_MIN_VF2_REDUCTION",
     "MIN_FILTER_SPEEDUP",
     "MIN_GATE_GRAPHS",
     "MIN_VF2_REDUCTION",

@@ -13,8 +13,6 @@ scratch is the "maintenance-from-scratch" baseline of the experiments.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..clustering.maintenance import DEFAULT_MAX_CLUSTER_SIZE, ClusterSet
@@ -22,16 +20,14 @@ from ..csg.maintenance import CSGSet
 from ..execution import ExecutionConfig
 from ..graph.database import GraphDatabase
 from ..index.maintenance import IndexPair
-from ..obs import capture, get_registry, span
+from ..obs import Stopwatch, capture, get_registry, span
 from ..patterns.budget import PatternBudget
 from ..patterns.metrics import CoverageOracle
 from ..patterns.pattern import PatternSet
-from ..resilience.budget import Budget, use_budget
 from ..trees.features import FeatureSpace
 from ..trees.maintenance import FCTSet
 from ..trees.mining import DEFAULT_MAX_EDGES, TreeMiner
 from ..utils.sampling import LazySampler
-from ..utils.timing import Stopwatch
 from .candidate import CandidateGenerator
 from .selection import GreedySelector
 
@@ -109,9 +105,7 @@ class Catapult:
         # Clustering needs at least one dimension to be meaningful.
         return features if features else fct_set.pool()
 
-    def run(
-        self, database: GraphDatabase, budget: Budget | None = None
-    ) -> CatapultResult:
+    def run(self, database: GraphDatabase) -> CatapultResult:
         """Select a canned pattern set for *database* from scratch.
 
         Runs under ``config.execution`` (workers, caching, deadline,
@@ -120,27 +114,13 @@ class Catapult:
         are anytime (partial results), and embedding counts in the
         indices fall back to capped counts.  The run still returns a
         complete, internally consistent :class:`CatapultResult`.
-
-        The *budget* parameter is deprecated: pass
-        ``ExecutionConfig(deadline_ms=...)`` on the config (or use
-        ``repro.api.select``) instead.  An explicit budget still wins
-        over the config's deadline for backward compatibility.
         """
-        if budget is not None:
-            warnings.warn(
-                "Catapult.run(budget=...) is deprecated; set "
-                "ExecutionConfig(deadline_ms=...) on the config or use "
-                "repro.api.select(..., config=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         config = self.config
         graphs = dict(database.items())
         get_registry().counter("catapult.runs").add(1)
         execution = getattr(config, "execution", None) or ExecutionConfig()
         with execution.apply():
-            with use_budget(budget) if budget is not None else nullcontext():
-                return self._run(database, graphs, config)
+            return self._run(database, graphs, config)
 
     def _run(self, database, graphs, config) -> CatapultResult:
         with capture("catapult.run") as run_span:

@@ -112,54 +112,6 @@ def check_engine(engine) -> None:
             "covindex.graph_indexed",
             f"graph {graph_id} is in the view but not in the index universe",
         )
-    if engine.network is not None:
-        check_fragment_network(engine.network, universe)
-
-
-def check_fragment_network(network, universe: int | None = None) -> None:
-    """Structural consistency of a :class:`FragmentNetwork`.
-
-    * every materialized fragment view obeys the engine's verdict
-      algebra (``match ⊆ seen ⊆ universe``);
-    * actual view residency never exceeds the configured byte budget;
-    * per-fragment refcounts agree with the registered pattern chains.
-    """
-    if universe is None:
-        universe = network._index.universe_value
-    for fragment_key in network.fragment_keys():
-        state = network.fragment(fragment_key)
-        if not state.materialized:
-            continue
-        invariant(
-            state.match_bits & ~state.seen_bits == 0,
-            "covindex.frag_match_subset_seen",
-            f"fragment {fragment_key!r} has match bits outside seen bits",
-        )
-        invariant(
-            state.seen_bits & ~universe == 0,
-            "covindex.frag_seen_subset_universe",
-            f"fragment {fragment_key!r} has verdict bits for unindexed "
-            "graphs",
-        )
-    invariant(
-        network.view_bytes() <= network.budget_bytes,
-        "covindex.frag_budget_respected",
-        f"materialized views hold {network.view_bytes()} bytes, budget "
-        f"{network.budget_bytes}",
-    )
-    expected: dict[tuple, int] = {}
-    for key in list(network._chains):
-        for fragment_key in network.chain(key):
-            expected[fragment_key] = expected.get(fragment_key, 0) + 1
-    actual = {
-        fragment_key: network.fragment(fragment_key).refcount
-        for fragment_key in network.fragment_keys()
-    }
-    invariant(
-        expected == actual,
-        "covindex.frag_refcounts_agree",
-        "fragment refcounts drifted from the registered chains",
-    )
 
 
 def check_coverage_index(index, graphs) -> None:
@@ -228,7 +180,6 @@ __all__ = [
     "check_coverage_index",
     "check_enabled",
     "check_engine",
-    "check_fragment_network",
     "check_pattern_budget",
     "invariant",
     "set_check",

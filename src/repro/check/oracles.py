@@ -53,7 +53,6 @@ from ..catapult.selection import MWU_DECAY
 from ..csg.summary import SummaryGraph, build_csg
 from ..covindex.bitset import available_substrates, use_substrate
 from ..covindex.engine import use_covindex
-from ..covindex.fragments import use_fragments
 from ..covindex.index import CoverageIndex
 from ..exceptions import InvariantViolation
 from ..ged import ged
@@ -301,90 +300,6 @@ def covindex_oracle(workload: Workload) -> Mismatch | None:
     return None
 
 
-def fragments_oracle(workload: Workload) -> Mismatch | None:
-    """Fragment network on vs off: identical verdicts at every view.
-
-    Two engine-backed oracles advance in lock-step over the batch
-    trajectory — one with the shared sub-pattern match network on, one
-    with it off — and both must agree with a fresh full-scan oracle at
-    every view.  The exported verdict bitsets must be identical too
-    (the network only prunes candidates VF2 would reject, so seen/match
-    bits converge to the same values once a pattern is drained), every
-    drained materialized fragment view must equal a direct VF2 sweep of
-    the fragment over the view, and the fragment invariant guards
-    (``covindex.frag_*``) must hold throughout.
-    """
-    with use_covindex(True), use_fragments(True):
-        networked = CoverageOracle(dict(workload.graphs))
-    with use_covindex(True), use_fragments(False):
-        plain = CoverageOracle(dict(workload.graphs))
-    for step, view in enumerate(workload.views()):
-        if step > 0:
-            batch = workload.batches[step - 1]
-            networked.apply_update(batch.added, batch.removed)
-            plain.apply_update(batch.added, batch.removed)
-        with use_covindex(False):
-            reference = CoverageOracle(view)
-        for i, pattern in enumerate(workload.patterns):
-            want = reference.cover(pattern)
-            for label, oracle in (
-                ("network_on", networked),
-                ("network_off", plain),
-            ):
-                got = oracle.cover(pattern)
-                if got != want:
-                    return Mismatch(
-                        "fragments",
-                        "cover_mismatch",
-                        {
-                            "view": step,
-                            "pattern": i,
-                            "network": label,
-                            "engine": sorted(got),
-                            "full_scan": sorted(want),
-                        },
-                    )
-        engine = networked._engine  # noqa: SLF001 - oracle inspects internals
-        off_engine = plain._engine  # noqa: SLF001
-        if engine is None or off_engine is None or engine.network is None:
-            continue
-        if engine.export_verdicts() != off_engine.export_verdicts():
-            return Mismatch(
-                "fragments",
-                "verdict_drift",
-                {"view": step},
-            )
-        network = engine.network
-        for fragment_key in network.fragment_keys():
-            state = network.fragment(fragment_key)
-            if not state.materialized or state.seen_count != len(view):
-                continue
-            expected_bits = 0
-            for graph_id, host in view.items():
-                if contains(host, state.graph):
-                    expected_bits |= 1 << graph_id
-            if state.match_bits != expected_bits:
-                return Mismatch(
-                    "fragments",
-                    "fragment_view_drift",
-                    {
-                        "view": step,
-                        "fragment_edges": state.graph.num_edges,
-                        "view_bits": state.match_bits,
-                        "direct_bits": expected_bits,
-                    },
-                )
-        try:
-            check_engine(engine)
-        except InvariantViolation as exc:
-            return Mismatch(
-                "fragments",
-                "invariant",
-                {"view": step, "name": exc.name, "detail": exc.detail},
-            )
-    return None
-
-
 def cache_oracle(workload: Workload) -> Mismatch | None:
     """Cache-on (cold and warm) vs cache-off cover/GED traces."""
     with use_covindex(False), use_caching(False):
@@ -412,10 +327,10 @@ def cache_oracle(workload: Workload) -> Mismatch | None:
 def parallel_oracle(workload: Workload) -> Mismatch | None:
     """Kernel fan-out vs the serial loop at 2 and 4 workers, same trace.
 
-    Runs every worker count twice: engine off (legacy host-shipping
-    kernels) and engine on (persistent workers resolving hosts from a
-    published view via ``contains_view_kernel``).  All traces must equal
-    the covindex-off serial reference.
+    Runs every worker count twice, engine off (unseeded) and engine on
+    (seeded domains); either way persistent workers resolve hosts from
+    a published view via ``contains_view_kernel``.  All traces must
+    equal the covindex-off serial reference.
     """
     with use_covindex(False), use_caching(False):
         serial = _cover_ged_trace(workload)
@@ -1292,19 +1207,6 @@ ORACLES: dict[str, Oracle] = {
             {"num_graphs": 5, "num_batches": 2},
         ),
         Oracle(
-            "fragments",
-            "fragment network on vs off verdicts per view, drained "
-            "fragment views vs direct VF2 sweeps, and the "
-            "covindex.frag_* invariant guards",
-            fragments_oracle,
-            {
-                "num_graphs": 5,
-                "num_batches": 2,
-                "num_patterns": 4,
-                "max_pattern_edges": 6,
-            },
-        ),
-        Oracle(
             "cache",
             "canonical-form caches on (cold and warm) vs off",
             cache_oracle,
@@ -1313,8 +1215,7 @@ ORACLES: dict[str, Oracle] = {
         Oracle(
             "parallel",
             "2- and 4-worker kernel pools vs the serial loop, with the "
-            "coverage engine off (host-shipping kernels) and on "
-            "(persistent view workers)",
+            "coverage engine off (unseeded) and on (seeded domains)",
             parallel_oracle,
             {"num_graphs": 4, "num_batches": 1},
         ),

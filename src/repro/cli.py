@@ -151,12 +151,10 @@ def _execution_from_args(
         workers=getattr(args, "workers", 1),
         cache=getattr(args, "cache", "off") == "on",
         covindex=getattr(args, "covindex", "off") == "on",
-        fragments=getattr(args, "fragments", "off") == "on",
         check=getattr(args, "check", "off") == "on",
         deadline_ms=deadline_ms,
         degrade=getattr(args, "degrade", "on") != "off",
         store=getattr(args, "store", None),
-        substrate=getattr(args, "substrate", None),
     )
 
 
@@ -585,10 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_execution_flags(sub: argparse.ArgumentParser) -> None:
-        # One flag per ExecutionConfig field.  The pre-rename spellings
-        # (--deadline, --jobs, --caching) still parse, but each is its
-        # own help-suppressed action writing to the canonical dest so
-        # only the canonical names show up in --help.
+        # One flag per ExecutionConfig field, matched exactly: with
+        # prefix matching on, the removed --deadline would still
+        # resolve to --deadline-ms.
+        sub.allow_abbrev = False
         sub.add_argument(
             "--deadline-ms",
             type=float,
@@ -596,14 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="wall-clock deadline: per figure for bench, whole run "
             "for demo; expensive kernels degrade to cheaper bounds "
             "instead of overrunning (see docs/ROBUSTNESS.md)",
-        )
-        sub.add_argument(
-            "--deadline",
-            type=float,
-            dest="deadline_ms",
-            default=argparse.SUPPRESS,
-            metavar="MS",
-            help=argparse.SUPPRESS,
         )
         sub.add_argument(
             "--degrade",
@@ -621,26 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
             "= serial); results are byte-identical at any worker count",
         )
         sub.add_argument(
-            "--jobs",
-            type=int,
-            dest="workers",
-            default=argparse.SUPPRESS,
-            metavar="N",
-            help=argparse.SUPPRESS,
-        )
-        sub.add_argument(
             "--cache",
             choices=("on", "off"),
             default="off",
             help="'on' memoises GED / embedding / graphlet results under "
             "canonical-form keys (see docs/PERFORMANCE.md)",
-        )
-        sub.add_argument(
-            "--caching",
-            choices=("on", "off"),
-            dest="cache",
-            default=argparse.SUPPRESS,
-            help=argparse.SUPPRESS,
         )
         sub.add_argument(
             "--covindex",
@@ -652,17 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
             "docs/PERFORMANCE.md)",
         )
         sub.add_argument(
-            "--fragments",
-            choices=("on", "off"),
-            default="off",
-            help="'on' enables the shared sub-pattern match network "
-            "inside coverage engines (requires --covindex on to take "
-            "effect): patterns decompose into canonical fragment "
-            "chains whose verified views prune candidates before VF2; "
-            "results are identical either way (see "
-            "docs/PERFORMANCE.md)",
-        )
-        sub.add_argument(
             "--check",
             choices=("on", "off"),
             default="off",
@@ -671,28 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
             "round back (see docs/CORRECTNESS.md)",
         )
         sub.add_argument(
-            "--substrate",
-            choices=("numpy", "int"),
-            default=None,
-            help="bitset substrate for the coverage index: 'numpy' "
-            "(vectorized uint64 word arrays; the default when numpy is "
-            "importable) or 'int' (the plain-int reference); results "
-            "are byte-identical either way (see docs/PERFORMANCE.md)",
-        )
-        sub.add_argument(
             "--store",
             metavar="SPEC",
             default=None,
             help="graph-store backend spec: 'memory' (default), "
             "'sqlite:PATH' or a .db/.sqlite path for the out-of-core "
             "backend (see docs/STORAGE.md)",
-        )
-        sub.add_argument(
-            "--backend",
-            dest="store",
-            default=argparse.SUPPRESS,
-            metavar="SPEC",
-            help=argparse.SUPPRESS,
         )
 
     demo = subparsers.add_parser("demo", help="run the quickstart demo")

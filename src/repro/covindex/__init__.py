@@ -10,8 +10,7 @@ incrementally across :class:`~repro.graph.database.BatchUpdate`
 boundaries so a MIDAS round re-verifies only changed graphs.  Off by
 default — enable with ``ExecutionConfig(covindex=True)``,
 ``--covindex on``, or :func:`use_covindex`; pick the substrate with
-``ExecutionConfig(substrate=...)``, ``--substrate``, or
-:func:`use_substrate`.
+:func:`use_substrate` or ``CoverageIndex.build(substrate=...)``.
 """
 
 from .bitset import (
@@ -34,16 +33,6 @@ from .engine import (
     set_covindex,
     use_covindex,
 )
-from .fragments import (
-    DEFAULT_FRAGMENT_BUDGET,
-    MIN_FRAGMENT_EDGES,
-    FragmentNetwork,
-    current_fragment_budget,
-    decompose,
-    fragments_enabled,
-    set_fragments,
-    use_fragments,
-)
 from .index import (
     COUNT_CAP,
     DEGREE_CAP,
@@ -55,23 +44,17 @@ from .index import (
 
 __all__ = [
     "COUNT_CAP",
-    "DEFAULT_FRAGMENT_BUDGET",
     "DEGREE_CAP",
     "MAX_TRACKED_PATTERNS",
-    "MIN_FRAGMENT_EDGES",
     "SUBSTRATES",
     "CompiledQuery",
     "CoverageEngine",
     "CoverageIndex",
-    "FragmentNetwork",
     "available_substrates",
     "bits_of",
     "count",
     "covindex_enabled",
-    "current_fragment_budget",
     "current_substrate",
-    "decompose",
-    "fragments_enabled",
     "graph_posting_keys",
     "ids_of",
     "make_ops",
@@ -79,9 +62,7 @@ __all__ = [
     "popcount",
     "resolve_substrate",
     "set_covindex",
-    "set_fragments",
     "set_substrate",
     "use_covindex",
-    "use_fragments",
     "use_substrate",
 ]

@@ -24,10 +24,10 @@ persisted byte.
 Graph IDs are the small dense integers handed out by
 :class:`~repro.graph.database.GraphDatabase`, so both forms stay
 compact.  The ambient substrate toggle (:func:`set_substrate` /
-:func:`use_substrate`, ``ExecutionConfig(substrate=...)`` / CLI
-``--substrate``) selects which substrate new indices are built on;
-the default is ``numpy`` when numpy is importable and ``int``
-otherwise.
+:func:`use_substrate`) selects which substrate new indices are built
+on; the default is ``numpy`` when numpy is importable and ``int``
+otherwise.  The int substrate is the reference the tests and the covix
+figure's speedup gate compare against.
 """
 
 from __future__ import annotations
@@ -236,15 +236,6 @@ class IntBitsetOps:
     def popcount(self, value: int) -> int:
         return popcount(value)
 
-    def nbytes(self, value: int) -> int:
-        """Resident data bytes of *value* (excludes object headers).
-
-        The measure the fragment network's view-budget accounting is
-        asserted against: a subset of the universe never reports more
-        bytes than the universe's own width.
-        """
-        return (value.bit_length() + 7) // 8
-
     def ids(self, value: int) -> list[int]:
         return list(ids_of(value))
 
@@ -349,10 +340,6 @@ class NumpyBitsetOps:
     def popcount(self, value) -> int:
         return popcount_words(value)
 
-    def nbytes(self, value) -> int:
-        """Resident data bytes of *value*'s word array."""
-        return int(value.nbytes)
-
     def ids(self, value) -> list[int]:
         return ids_of_words(value)
 
@@ -386,7 +373,7 @@ _warned_no_numpy = False
 
 
 def set_substrate(name: str) -> None:
-    """Globally select the bitset substrate (CLI ``--substrate``)."""
+    """Globally select the bitset substrate for new indices."""
     global _substrate
     if name not in SUBSTRATES:
         raise ValueError(

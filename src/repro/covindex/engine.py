@@ -52,7 +52,6 @@ from ..check.invariants import check_enabled, check_engine
 from ..graph.labeled_graph import LabeledGraph, VertexId
 from ..obs import BoundCounter, get_registry
 from .bitset import make_ops
-from .fragments import FragmentNetwork, fragments_enabled
 from .index import CompiledQuery, CoverageIndex
 
 #: Bound on concurrently tracked patterns.  MIDAS rounds evaluate many
@@ -72,24 +71,9 @@ class CoverageEngine:
         self,
         graphs: Mapping[int, LabeledGraph],
         substrate: str | None = None,
-        fragments: bool | None = None,
-        fragment_budget: int | None = None,
     ) -> None:
         self._graphs: dict[int, LabeledGraph] = dict(graphs)
         self.index = CoverageIndex.build(self._graphs, substrate=substrate)
-        # The shared sub-pattern match network (repro.covindex.fragments),
-        # attached when the ambient toggle (or the explicit argument)
-        # asks for it.  It shares this engine's graph-view dict and
-        # index, so apply_update keeps all three consistent in place.
-        if fragments is None:
-            fragments = fragments_enabled()
-        self._network = (
-            FragmentNetwork(
-                self.index, self._graphs, budget_bytes=fragment_budget
-            )
-            if fragments
-            else None
-        )
         # Verdict bookkeeping is int-typed on every substrate: the
         # index returns canonical ints from run_query, and the tiny
         # O(1) delta ops here are where big-ints win.
@@ -166,8 +150,6 @@ class CoverageEngine:
         self._seen_bits[key] = self._ops.zero()
         self._seen_count[key] = 0
         self._cover_sets[key] = set()
-        if self._network is not None:
-            self._network.register(key, pattern)
         self._publish_gauges()
 
     def _touch(self, key: tuple) -> None:
@@ -187,13 +169,6 @@ class CoverageEngine:
         self._seen_count.pop(key, None)
         self._covers.pop(key, None)
         self._cover_sets.pop(key, None)
-        if self._network is not None:
-            self._network.discard(key)
-
-    @property
-    def network(self):
-        """The attached :class:`FragmentNetwork`, or ``None``."""
-        return self._network
 
     def tracked(self, key: tuple) -> bool:
         return key in self._patterns
@@ -216,14 +191,6 @@ class CoverageEngine:
             # mean equal sets) — no bitset op, no substrate involved,
             # and nothing added to the filter-phase clock.
             return []
-        mask = None
-        if self._network is not None:
-            # Fragment draining runs VF2 of its own, so it happens
-            # before the filter clock starts; the mask is a sound
-            # over-approximation of the cover (see pattern_mask), so
-            # graphs it excludes are marked seen-non-matching below
-            # exactly like posting-filter rejections.
-            mask = self._network.pattern_mask(key)
         started = time.perf_counter_ns()
         # The filter is monotone — candidates(unseen) is exactly
         # candidates(universe) ∩ unseen — so run the compiled query
@@ -232,13 +199,6 @@ class CoverageEngine:
         # plain ints, so the deltas are written as direct big-int
         # expressions rather than BitsetOps method calls.
         candidates = self.index.run_query(self._compiled[key])
-        if mask is not None:
-            masked = candidates & mask
-            get_registry().counter("covindex.frag.pruned").add(
-                (candidates & ~self._seen_bits[key]).bit_count()
-                - (masked & ~self._seen_bits[key]).bit_count()
-            )
-            candidates = masked
         pending_value = candidates & ~self._seen_bits[key]
         # Marking every non-pending graph seen collapses to one
         # subtraction: seen ∪ (unseen \ candidates) == universe \ pending.
@@ -372,12 +332,6 @@ class CoverageEngine:
         for graph_id, graph in added.items():
             self._graphs[graph_id] = graph
             self.index.add_graph(graph_id, graph)
-        if self._network is not None:
-            # The network shares this engine's graph dict and index, so
-            # by now it sees the post-batch view; it still needs the
-            # stale ids to drop their fragment verdicts, mirroring the
-            # pattern-verdict clearing above.
-            self._network.apply_update(stale)
         registry = get_registry()
         registry.counter("covindex.updates").add(1)
         registry.counter("covindex.dirty_graphs").add(
@@ -450,7 +404,6 @@ __all__ = [
     "MAX_TRACKED_PATTERNS",
     "CoverageEngine",
     "covindex_enabled",
-    "fragments_enabled",
     "set_covindex",
     "use_covindex",
 ]

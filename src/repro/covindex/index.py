@@ -61,7 +61,7 @@ structural form both paths must agree on.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
 from ..isomorphism.invariants import multiset_dominates
@@ -403,6 +403,25 @@ class CompiledQuery:
         return None if self._impossible else self._plan
 
 
+def posting_snapshot(graphs: Iterable[tuple[int, LabeledGraph]]) -> tuple:
+    """:meth:`CoverageIndex.snapshot` of the index over *graphs*,
+    folded one ``(graph_id, graph)`` pair at a time.
+
+    Only the universe and the posting bitsets are kept — no graph and
+    no per-graph key set — so a whole out-of-core store can be checked
+    against its persisted postings in memory proportional to the
+    posting keys, not to the graphs.
+    """
+    postings: dict[tuple, int] = {}
+    ids: list[int] = []
+    for graph_id, graph in graphs:
+        ids.append(graph_id)
+        bit = 1 << graph_id
+        for key in graph_posting_keys(graph):
+            postings[key] = postings.get(key, 0) | bit
+    return bits_of(ids), tuple(sorted(postings.items()))
+
+
 class CoverageIndex:
     """Bitset posting lists plus per-graph vertex signature tables."""
 
@@ -720,4 +739,5 @@ __all__ = [
     "CoverageIndex",
     "graph_posting_keys",
     "pattern_query_keys",
+    "posting_snapshot",
 ]

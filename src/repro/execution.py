@@ -4,7 +4,7 @@
 accepts — ``repro.api.select`` / ``repro.api.maintain``, the pipeline
 and maintainer configs (``CatapultConfig.execution``), and the CLI
 (``--workers``, ``--cache``, ``--covindex``, ``--check``,
-``--deadline-ms``, ``--degrade``, ``--substrate``).  It
+``--deadline-ms``, ``--degrade``, ``--store``).  It
 replaces the per-call resilience kwargs that had accreted on individual
 signatures.
 
@@ -39,14 +39,6 @@ class ExecutionConfig:
         (:mod:`repro.covindex`): posting-list candidate filtering, VF2
         domain seeding and incremental cover maintenance.  Results are
         identical with the engine on or off.
-    fragments:
-        Enable the shared sub-pattern match network
-        (:mod:`repro.covindex.fragments`) inside coverage engines built
-        in the wrapped scope: registered patterns decompose into
-        canonical fragment chains whose verified match views prune
-        candidates before VF2.  Takes effect only where ``covindex``
-        builds an engine; results are identical with the network on or
-        off.
     check:
         Arm the runtime invariant guards (:mod:`repro.check`): bitset
         and posting-list consistency in the coverage engine, cache
@@ -65,43 +57,28 @@ class ExecutionConfig:
         ``"sqlite:PATH"``, ...; see :func:`repro.store.open_store`).
         ``None`` — the default — leaves the ambient spec alone, so
         nested scopes compose like the other knobs.
-    substrate:
-        Bitset substrate for coverage indices built in the wrapped
-        scope: ``"numpy"`` (vectorized uint64 word arrays, the process
-        default when numpy is importable) or ``"int"`` (the plain-int
-        reference).  Results are byte-identical either way; ``None``
-        leaves the ambient choice alone.
     """
 
     workers: int = 1
     cache: bool = False
     covindex: bool = False
-    fragments: bool = False
     check: bool = False
     deadline_ms: float | None = None
     degrade: bool = True
     store: str | None = None
-    substrate: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
-        if self.substrate is not None and self.substrate not in (
-            "int",
-            "numpy",
-        ):
-            raise ValueError("substrate must be 'int' or 'numpy'")
 
     @contextmanager
     def apply(self):
         """Install this policy (pool, caches, budget, degradation) ambiently."""
         from .cache.stores import use_caching
         from .check.invariants import use_check
-        from .covindex.bitset import use_substrate
         from .covindex.engine import use_covindex
-        from .covindex.fragments import use_fragments
         from .parallel.pool import shared_pool, use_pool
         from .resilience.budget import Deadline, use_budget
         from .resilience.degrade import degradation_enabled, set_degradation
@@ -116,10 +93,6 @@ class ExecutionConfig:
                 stack.enter_context(use_caching(True))
             if self.covindex:
                 stack.enter_context(use_covindex(True))
-            if self.fragments:
-                stack.enter_context(use_fragments(True))
-            if self.substrate is not None:
-                stack.enter_context(use_substrate(self.substrate))
             if self.check:
                 stack.enter_context(use_check(True))
             if not self.degrade and degradation_enabled():

@@ -17,8 +17,8 @@ import random
 from ..catapult.pipeline import Catapult, CatapultConfig, CatapultPlusPlus
 from ..graph.database import BatchUpdate, GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
+from ..obs import Stopwatch
 from ..patterns.pattern import PatternSet
-from ..utils.timing import Stopwatch
 from .config import MidasConfig
 from .maintainer import MaintenanceReport, Midas
 from .swap import SwapOutcome, SwapRecord

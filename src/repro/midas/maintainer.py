@@ -415,11 +415,7 @@ class Midas:
             if self.oracle.delta_capable:
                 # Coverage-engine oracle: reconcile the view in place so
                 # verdicts for unchanged sample graphs survive the round
-                # and only the sample delta is ever re-verified.  The
-                # batch delta flows into the engine (and its fragment
-                # network, when on) here; preregistering the displayed
-                # set right after lets the network unify the patterns'
-                # shared fragment chains before scoring re-queries them.
+                # and only the sample delta is ever re-verified.
                 self.oracle.apply_update(
                     {
                         gid: sample_graphs[gid]
@@ -427,7 +423,6 @@ class Midas:
                     },
                     previous_ids - sample_ids,
                 )
-                self.oracle.preregister(self.patterns.graphs().values())
             else:
                 self.oracle = CoverageOracle(
                     sample_graphs, index_pair=self.index_pair

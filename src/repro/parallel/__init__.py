@@ -10,8 +10,6 @@ that lets kernels receive graph IDs instead of pickled graphs, and
 
 from .kernels import (
     candidate_score_kernel,
-    contains_kernel,
-    contains_seeded_kernel,
     contains_view_kernel,
     ged_pairs_kernel,
     mccs_kernel,
@@ -42,8 +40,6 @@ __all__ = [
     "KernelPool",
     "MIN_PARALLEL_ITEMS",
     "candidate_score_kernel",
-    "contains_kernel",
-    "contains_seeded_kernel",
     "contains_view_kernel",
     "current_pool",
     "ged_pairs_kernel",

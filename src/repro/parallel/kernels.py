@@ -34,45 +34,18 @@ def ged_pairs_kernel(payload, chunk):
     return results
 
 
-def contains_kernel(payload, chunk):
-    """``chunk``: list of host graphs; payload: the pattern.
-
-    Returns one containment verdict per host (pattern ⊆ host).
-    """
-    from ..isomorphism.matcher import contains
-
-    pattern = payload
-    return [contains(host, pattern) for host in chunk]
-
-
-def contains_seeded_kernel(payload, chunk):
-    """``chunk``: list of ``(host, domains)`` pairs; payload: the pattern.
-
-    The coverage-engine variant of :func:`contains_kernel`: each host
-    arrives with precomputed VF2 candidate domains.  Domains are sound
-    (they never exclude a vertex of a real embedding) so verdicts are
-    identical to the unseeded kernel's.
-    """
-    from ..isomorphism.matcher import contains
-
-    pattern = payload
-    return [
-        contains(host, pattern, domains=domains) for host, domains in chunk
-    ]
-
-
 def contains_view_kernel(payload, chunk):
     """``chunk``: ``(graph_id, domains)`` pairs; payload: the view handle.
 
-    The persistent-worker variant of :func:`contains_seeded_kernel`:
+    Returns one containment verdict (pattern ⊆ host) per item.  The
     payload is ``(view_id, generation, pattern)`` and hosts are looked
     up in the fork-inherited :mod:`repro.parallel.shared` registry, so
     a fan-out ships only graph IDs + seed domains — never the host
-    graphs themselves.  ``domains`` may be None (unseeded verification).
+    graphs themselves.  ``domains`` may be None (unseeded verification);
+    seeded domains are sound, so verdicts equal the unseeded ones.
     A worker whose inherited view is missing or at the wrong generation
     raises rather than answering from stale graphs; the pool's
     epoch-stamped refork makes that unreachable in normal operation.
-    Verdicts are identical to the host-shipping kernels'.
     """
     from ..isomorphism.matcher import contains
     from .shared import resolve_view
@@ -174,8 +147,6 @@ def pairwise_ged_matrix(
 
 __all__ = [
     "candidate_score_kernel",
-    "contains_kernel",
-    "contains_seeded_kernel",
     "contains_view_kernel",
     "ged_pairs_kernel",
     "mccs_kernel",

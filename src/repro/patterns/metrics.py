@@ -175,21 +175,6 @@ class CoverageOracle:
         self._cover_cache.clear()
         self._lcov_cache.clear()
 
-    def preregister(self, patterns: Iterable[LabeledGraph]) -> None:
-        """Register *patterns* with the attached engine ahead of queries.
-
-        A no-op without an engine.  The maintainer calls this right
-        after reconciling a batch so the displayed set's registrations
-        (and, when the fragment network is on, their shared fragment
-        chains) are warm before the scoring passes start querying —
-        the network sees the whole overlapping set at once instead of
-        discovering it pattern by pattern.
-        """
-        if self._engine is None:
-            return
-        for pattern in patterns:
-            self._engine.register(canonical_certificate(pattern), pattern)
-
     # ------------------------------------------------------------------
     def cover(self, pattern: LabeledGraph) -> frozenset[int]:
         """``G_scov(p)`` within this oracle's graph view (cached).

@@ -52,6 +52,7 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from pathlib import Path
 
+from ..covindex.bitset import bits_of
 from ..covindex.index import CoverageIndex, graph_posting_keys
 from ..graph.database import AppliedUpdate, BatchUpdate, DatabaseError
 from ..graph.io import graph_from_dict, graph_to_dict
@@ -609,22 +610,46 @@ class SQLiteStore(GraphStore):
     # ------------------------------------------------------------------
     # persisted covindex state
     # ------------------------------------------------------------------
-    def coverage_index(self) -> CoverageIndex:
-        """Rebuild a :class:`CoverageIndex` from the persisted per-shard
-        posting lists — no invariant is re-derived from any graph."""
+    def _postings(self) -> dict[tuple, int]:
+        """The persisted posting bitsets, OR'd over shards."""
         postings: dict[tuple, int] = {}
         for key_text, blob in self._connection.execute(
             "SELECT key, bits FROM postings"
         ):
             key = _key_from_text(key_text)
             postings[key] = postings.get(key, 0) | _blob_to_bits(blob)
+        return postings
+
+    def coverage_index(self) -> CoverageIndex:
+        """Rebuild a :class:`CoverageIndex` from the persisted per-shard
+        posting lists — no invariant is re-derived from any graph."""
         keys_by_graph = {
             graph_id: {_tuplify(k) for k in json.loads(text)}
             for graph_id, text in self._connection.execute(
                 "SELECT id, keys FROM graph_keys"
             )
         }
-        return CoverageIndex.from_parts(postings, keys_by_graph)
+        return CoverageIndex.from_parts(self._postings(), keys_by_graph)
+
+    def posting_snapshot(self) -> tuple:
+        """``coverage_index().snapshot()`` without building the index.
+
+        The universe is read from the ``graph_keys`` ids and no
+        per-graph key set is decoded, so the cost is the posting
+        bitsets alone; compare it with
+        :func:`~repro.covindex.index.posting_snapshot` over
+        :meth:`items` to check the persisted postings out of core.
+        """
+        universe = bits_of(
+            graph_id
+            for (graph_id,) in self._connection.execute(
+                "SELECT id FROM graph_keys"
+            )
+        )
+        postings = sorted(
+            (key, bits) for key, bits in self._postings().items() if bits
+        )
+        return universe, tuple(postings)
 
     def _shard_mask(self, shard: int) -> int:
         mask = self._shard_masks.get(shard)

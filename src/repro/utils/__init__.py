@@ -1,15 +1,12 @@
-"""Shared utilities: sampling, statistics, timing."""
+"""Shared utilities: sampling and statistics."""
 
 from .sampling import LazySampler
 from .stats import ks_similarity, mean, percentile, stddev
-from .timing import Stopwatch, timed
 
 __all__ = [
     "LazySampler",
-    "Stopwatch",
     "ks_similarity",
     "mean",
     "percentile",
     "stddev",
-    "timed",
 ]

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
 from repro import api
-from repro.catapult import Catapult, CatapultConfig
+from repro.catapult import CatapultConfig
 from repro.catapult.pipeline import CatapultResult
 from repro.datasets import aids_like, family_injection
 from repro.execution import ExecutionConfig
 from repro.midas import Midas, MidasConfig
 from repro.midas.maintainer import MaintenanceReport
 from repro.patterns import PatternBudget
-from repro.resilience import Deadline
 
 
 @pytest.fixture(scope="module")
@@ -138,27 +135,3 @@ class TestExecutionConfigValidation:
             assert caching_enabled()
         assert current_budget() is None
         assert not caching_enabled()
-
-
-class TestDeprecationShims:
-    def test_run_budget_kwarg_warns_but_works(self, small_db):
-        pipeline = Catapult(
-            CatapultConfig(
-                budget=PatternBudget(3, 6, 6), num_clusters=3, sample_cap=50
-            )
-        )
-        with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-            result = pipeline.run(small_db, Deadline.from_ms(60_000))
-        assert isinstance(result, CatapultResult)
-        assert len(result.patterns) > 0
-
-    def test_run_without_budget_does_not_warn(self, small_db):
-        pipeline = Catapult(
-            CatapultConfig(
-                budget=PatternBudget(3, 6, 6), num_clusters=3, sample_cap=50
-            )
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = pipeline.run(small_db)
-        assert isinstance(result, CatapultResult)

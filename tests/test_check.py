@@ -160,7 +160,6 @@ class TestOracleRegistry:
             "cache",
             "canonical",
             "covindex",
-            "fragments",
             "ged",
             "generate",
             "index",
@@ -448,7 +447,7 @@ def _knob_fingerprint(execution: ExecutionConfig):
 
 KNOB_COMBOS = list(
     itertools.product(
-        (1, 2), (False, True), (False, True), (False, True), (False, True)
+        (1, 2), (False, True), (False, True), (False, True)
     )
 )
 
@@ -457,22 +456,19 @@ _baseline_fingerprint: list = []
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "workers,cache,covindex,fragments,check",
+    "workers,cache,covindex,check",
     KNOB_COMBOS,
     ids=[
-        f"workers{w}-cache{int(ca)}-covindex{int(co)}"
-        f"-fragments{int(fr)}-check{int(ch)}"
-        for w, ca, co, fr, ch in KNOB_COMBOS
+        f"workers{w}-cache{int(ca)}-covindex{int(co)}-check{int(ch)}"
+        for w, ca, co, ch in KNOB_COMBOS
     ],
 )
 def test_execution_knobs_do_not_change_results(
-    workers, cache, covindex, fragments, check
+    workers, cache, covindex, check
 ):
     """Every on/off combination of the execution accelerators (and the
     invariant guards) produces an identical maintenance round — the
-    knobs trade speed, never answers.  ``fragments`` without
-    ``covindex`` is deliberately included: the flag must be inert when
-    no engine exists to host the network."""
+    knobs trade speed, never answers."""
     if not _baseline_fingerprint:
         _baseline_fingerprint.append(_knob_fingerprint(ExecutionConfig()))
     fingerprint = _knob_fingerprint(
@@ -480,7 +476,6 @@ def test_execution_knobs_do_not_change_results(
             workers=workers,
             cache=cache,
             covindex=covindex,
-            fragments=fragments,
             check=check,
         )
     )

@@ -1,7 +1,5 @@
 """Unit tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import FIGURES, SCALES, build_parser, main
@@ -36,8 +34,8 @@ class TestParser:
 
 
 class TestExecutionFlagHelp:
-    """Only the canonical ExecutionConfig spellings appear in --help;
-    the pre-rename aliases keep parsing but stay hidden."""
+    """Only the canonical ExecutionConfig spellings exist: --help lists
+    them, and the removed pre-rename aliases are argparse errors."""
 
     @pytest.fixture(scope="class")
     def demo_help(self):
@@ -60,20 +58,23 @@ class TestExecutionFlagHelp:
             "--degrade",
         ):
             assert flag in demo_help
+        assert "--fragments" not in demo_help
+        assert "--substrate" not in demo_help
 
-    def test_alias_spellings_are_hidden(self, demo_help):
-        assert "--jobs" not in demo_help
-        assert "--caching" not in demo_help
-        # "--deadline" only ever appears as part of "--deadline-ms"
-        assert re.search(r"--deadline(?!-ms)", demo_help) is None
-
-    def test_aliases_still_parse_to_canonical_dests(self):
-        args = build_parser().parse_args(
-            ["demo", "--jobs", "4", "--caching", "on", "--deadline", "1500"]
-        )
-        assert args.workers == 4
-        assert args.cache == "on"
-        assert args.deadline_ms == 1500.0
+    def test_alias_spellings_are_hidden(self, capsys):
+        for argv in (
+            ["--jobs", "4"],
+            ["--caching", "on"],
+            ["--deadline", "1500"],
+            ["--backend", "memory"],
+            ["--fragments", "on"],
+            ["--substrate", "int"],
+        ):
+            for command in ("demo", "bench"):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args([command, *argv])
+                assert excinfo.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_canonical_defaults_survive_alias_registration(self):
         args = build_parser().parse_args(["demo"])

@@ -709,5 +709,3 @@ class TestSubstrateEquivalence:
     def test_unknown_substrate_rejected(self):
         with pytest.raises(ValueError):
             make_ops("bogus")
-        with pytest.raises(ValueError):
-            ExecutionConfig(substrate="bogus")

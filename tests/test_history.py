@@ -6,7 +6,7 @@ from repro.midas import MaintenanceHistory
 from repro.midas.detector import Classification, ModificationType
 from repro.midas.maintainer import MaintenanceReport
 from repro.midas.swap import SwapOutcome, SwapRecord
-from repro.utils.timing import Stopwatch
+from repro.obs import Stopwatch
 
 from .conftest import make_graph
 

@@ -128,16 +128,16 @@ class TestBoundCounters:
     #: with by-name lookups on every event (before VF2, covindex and
     #: swap bound or batched them).
     EXPECTED = {
-        "vf2.calls": 3875,
+        "vf2.calls": 3756,
         "vf2.prefilter_cutoffs": 1032,
-        "vf2.searches": 2843,
-        "vf2.states_explored": 34995,
-        "vf2.backtracks": 22254,
+        "vf2.searches": 2724,
+        "vf2.states_explored": 34421,
+        "vf2.backtracks": 22101,
         "swap.ged_cache_hits": 91,
         "swap.ged_cache_misses": 21,
-        "covindex.filter_queries": 36,
-        "covindex.candidates_kept": 232,
-        "covindex.candidates_pruned": 920,
+        "covindex.filter_queries": 19,
+        "covindex.candidates_kept": 111,
+        "covindex.candidates_pruned": 497,
     }
 
     @staticmethod
@@ -152,7 +152,7 @@ class TestBoundCounters:
         midas = api.bootstrap(
             aids_like(24, seed=11),
             config=config,
-            execution=ExecutionConfig(covindex=True, fragments=True),
+            execution=ExecutionConfig(covindex=True),
         )
         api.maintain(midas, family_injection(8, seed=3))
         registry = get_registry()
@@ -300,11 +300,6 @@ class TestStopwatchShim:
         watch = Stopwatch.from_span(root)
         assert watch.laps == {"detect": 0.25, "swap": 0.5}
         assert watch.total() == 0.75
-
-    def test_importable_from_legacy_path(self):
-        from repro.utils.timing import Stopwatch as LegacyStopwatch
-
-        assert LegacyStopwatch is Stopwatch
 
 
 class TestExport:

@@ -10,17 +10,18 @@ otherwise degrades to the serial path under pytest by design).
 
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import pytest
 
 from repro.datasets import pubchem_like
 from repro.exceptions import BudgetExhausted
+from repro.isomorphism import contains
 from repro.obs import get_registry
 from repro.parallel import (
     MIN_PARALLEL_ITEMS,
     KernelPool,
-    contains_kernel,
     contains_view_kernel,
     current_pool,
     get_view,
@@ -323,7 +324,7 @@ class TestPersistentViewWorkers:
     def hosts(self):
         return dict(pubchem_like(24, seed=5).items())
 
-    def test_view_kernel_matches_legacy_and_ships_fewer_bytes(self, hosts):
+    def test_view_kernel_matches_serial_and_ships_fewer_bytes(self, hosts):
         pattern = make_graph("CC", [(0, 1)])
         ids = sorted(hosts)
         registry = get_registry()
@@ -339,19 +340,10 @@ class TestPersistentViewWorkers:
                 view_bytes = (
                     registry.counter("parallel.bytes_pickled").value - before
                 )
-                before = registry.counter("parallel.bytes_pickled").value
-                legacy_verdicts = pool.map(
-                    contains_kernel,
-                    [hosts[graph_id] for graph_id in ids],
-                    payload=pattern,
-                )
-                legacy_bytes = (
-                    registry.counter("parallel.bytes_pickled").value - before
-                )
         finally:
             retire_view(view.view_id)
-        assert view_verdicts == legacy_verdicts
-        assert 0 < view_bytes < legacy_bytes
+        assert view_verdicts == [contains(hosts[i], pattern) for i in ids]
+        assert 0 < view_bytes < len(pickle.dumps([hosts[i] for i in ids]))
 
     def test_workers_restart_once_per_republish(self, hosts):
         pattern = make_graph("CC", [(0, 1)])

@@ -12,10 +12,12 @@ object's ``_graphs`` / ``_next_id``.
 import ast
 import copy
 import pickle
+import sqlite3
 from pathlib import Path
 
 import pytest
 
+from repro.bench.experiments.store import postings_agree
 from repro.covindex.index import CoverageIndex
 from repro.graph import BatchUpdate, DatabaseError, GraphDatabase
 from repro.graph.io import graph_to_dict
@@ -279,6 +281,25 @@ class TestCrossBackendIdentity:
         assert messages[:half] == messages[half:]
 
 
+def _flip_posting_bit(db: sqlite3.Connection) -> None:
+    """Clear the lowest set bit of the first persisted posting row."""
+    blob, rowid = db.execute(
+        "SELECT bits, rowid FROM postings ORDER BY rowid"
+    ).fetchone()
+    bits = int.from_bytes(blob, "little")
+    bits &= bits - 1
+    db.execute(
+        "UPDATE postings SET bits = ? WHERE rowid = ?",
+        (bits.to_bytes(max(1, (bits.bit_length() + 7) // 8), "little"), rowid),
+    )
+
+
+def _delete_graph_keys_row(db: sqlite3.Connection) -> None:
+    db.execute(
+        "DELETE FROM graph_keys WHERE id = (SELECT MIN(id) FROM graph_keys)"
+    )
+
+
 class TestSQLiteSpecifics:
     def test_reopen_durability(self, tmp_path):
         path = tmp_path / "store.db"
@@ -304,6 +325,32 @@ class TestSQLiteSpecifics:
             assert s.coverage_index() == CoverageIndex.build(
                 dict(s.items())
             )
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [None, _flip_posting_bit, _delete_graph_keys_row],
+        ids=["clean", "flipped_posting_bit", "deleted_graph_keys_row"],
+    )
+    def test_streamed_postings_check(self, tmp_path, tamper):
+        """The store figure's out-of-core check agrees with the full
+        index comparison: it passes on a clean store and fails on a
+        flipped posting bit or a lost ``graph_keys`` row."""
+        path = tmp_path / "store.db"
+        with SQLiteStore(path) as s:
+            _seed(s)
+            s.apply(
+                BatchUpdate.of(
+                    insertions=[make_graph("CS", [(0, 1)])], deletions=[1]
+                )
+            )
+        if tamper is not None:
+            with sqlite3.connect(path) as db:
+                tamper(db)
+        with SQLiteStore(path) as s:
+            assert s.posting_snapshot() == s.coverage_index().snapshot()
+            full = s.coverage_index() == CoverageIndex.build(dict(s.items()))
+            assert full is (tamper is None)
+            assert postings_agree(s) is full
 
     def test_verdict_persistence(self, tmp_path):
         path = tmp_path / "store.db"

@@ -1,18 +1,11 @@
-"""Unit tests for repro.utils (sampling, stats, timing)."""
+"""Unit tests for repro.utils (sampling, stats) and the obs Stopwatch."""
 
 import time
 
 import pytest
 
-from repro.utils import (
-    LazySampler,
-    Stopwatch,
-    ks_similarity,
-    mean,
-    percentile,
-    stddev,
-    timed,
-)
+from repro.obs import Stopwatch, timed
+from repro.utils import LazySampler, ks_similarity, mean, percentile, stddev
 
 
 class TestLazySampler:
