@@ -6,6 +6,7 @@ isomorphism, graphlet counting, GED bounds, FCT mining and the index
 prefilter — the operations whose costs dominate every experiment.
 """
 
+import pickle
 import random
 
 import pytest
@@ -13,11 +14,12 @@ import pytest
 from repro.covindex import CoverageIndex, available_substrates, make_ops
 from repro.datasets import aids_like
 from repro.ged import ged_bipartite_upper_bound, ged_tight_lower_bound
+from repro.graph import LabeledGraph
 from repro.graphlets import count_graphlets
 from repro.index import IndexPair
-from repro.isomorphism import contains, count_embeddings
+from repro.isomorphism import contains, count_embeddings, find_embeddings
 from repro.patterns import CoverageOracle
-from repro.trees import FCTSet, TreeMiner
+from repro.trees import FCTSet, TreeMiner, tree_certificate
 from repro.workload import generate_queries
 
 
@@ -83,6 +85,91 @@ def test_fct_mining(benchmark, graphs):
     assert benchmark(mine) > 0
 
 
+def _literal_pool(graphs, threshold, max_edges):
+    """Every tree frequent at *threshold* with its VF2 cover, grown
+    level-wise by VF2 embeddings, and the closedness rule by VF2."""
+    count = len(graphs) * threshold
+    minimum = int(count) if int(count) == count else int(count) + 1
+
+    def cover(tree):
+        return {gid for gid, graph in graphs.items() if contains(graph, tree)}
+
+    candidates = {}
+    for graph in graphs.values():
+        for u, v in graph.edges():
+            tree = LabeledGraph()
+            tree.add_vertex(0, graph.label(u))
+            tree.add_vertex(1, graph.label(v))
+            tree.add_edge(0, 1)
+            candidates.setdefault(tree_certificate(tree), tree)
+    pool = {}
+    while candidates:
+        level = {
+            key: (tree, hosts)
+            for key, tree in candidates.items()
+            if len(hosts := cover(tree)) >= minimum
+        }
+        pool.update(level)
+        candidates = {}
+        for tree, hosts in level.values():
+            if tree.num_edges >= max_edges:
+                continue
+            new_vertex = tree.num_vertices
+            for gid in hosts:
+                host = graphs[gid]
+                for embedding in find_embeddings(host, tree):
+                    used = set(embedding.values())
+                    for vertex, image in embedding.items():
+                        for neighbor in host.neighbors(image) - used:
+                            grown = tree.copy()
+                            grown.add_vertex(new_vertex, host.label(neighbor))
+                            grown.add_edge(vertex, new_vertex)
+                            candidates.setdefault(tree_certificate(grown), grown)
+    return {
+        key: (
+            hosts,
+            not any(
+                other.num_edges == tree.num_edges + 1
+                and len(other_hosts) == len(hosts)
+                and contains(other, tree)
+                for other, other_hosts in pool.values()
+            ),
+        )
+        for key, (tree, hosts) in pool.items()
+    }
+
+
+def test_fct_add_batch(benchmark, graphs):
+    """CTMiningAdd of a 5-graph batch: growth by embedding extension,
+    pooled covers read from the Δ⁺ mine, bounded historic scans.
+
+    Adding to a complete pool keeps it complete (a tree frequent in
+    D ∪ Δ⁺ is frequent in D or in Δ⁺), so the maintained pool must
+    equal the literal VF2 pool of D ∪ Δ⁺.
+    """
+    fct_set = FCTSet(graphs, 0.5, max_edges=3)
+    blob = pickle.dumps(fct_set)
+    batch = {
+        1000 + index: graph
+        for index, graph in enumerate(aids_like(5, seed=7).graphs())
+    }
+
+    def fresh():
+        return (pickle.loads(blob),), {}
+
+    def add(target):
+        target.apply(added=batch)
+        return target
+
+    maintained = benchmark.pedantic(add, setup=fresh, rounds=5)
+    merged = dict(graphs)
+    merged.update(batch)
+    literal = _literal_pool(merged, fct_set.relaxed_threshold, 3)
+    assert {
+        key: (tree.cover, tree.closed) for key, tree in maintained._pool.items()
+    } == literal
+
+
 def test_count_embeddings_unfiltered(benchmark, graphs, pattern):
     """Embedding counts over every graph — the baseline the coverage
     engine's posting-list filter is measured against."""
@@ -117,9 +204,10 @@ def test_count_embeddings_covindex_filtered(benchmark, graphs, pattern):
 
 
 # ----------------------------------------------------------------------
-# bitset substrates (docs/PERFORMANCE.md) — the CI PR gate runs exactly
-# these (`pytest benchmarks/test_micro_substrates.py -k bitset`), so a
-# substrate regression fails the gate before it can reach a figure run.
+# bitset substrates (docs/PERFORMANCE.md) — the CI PR gate runs these
+# and the FCT ones (`pytest benchmarks/test_micro_substrates.py -k
+# "bitset or fct"`), so a substrate regression fails the gate before it
+# can reach a figure run.
 # ----------------------------------------------------------------------
 #: A wide synthetic universe: IDs far past one machine word, the regime
 #: the numpy word-array substrate exists for.

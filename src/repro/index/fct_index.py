@@ -87,20 +87,31 @@ class FCTIndex:
     # feature maintenance
     # ------------------------------------------------------------------
     def add_feature(
-        self, feature: MinedTree, graphs: Mapping[int, LabeledGraph]
+        self,
+        feature: MinedTree,
+        graphs: Mapping[int, LabeledGraph],
+        known: Mapping[int, int] | None = None,
     ) -> None:
-        """Insert a feature and populate its TG row from its cover set."""
+        """Insert a feature and populate its TG row from its cover set.
+
+        *known* holds exact embedding counts already at hand for some
+        graphs; only the others are counted here.
+        """
         if feature.key in self._features:
             self.remove_feature(feature.key)
         self._features[feature.key] = feature
         self.trie.insert(feature.tokens(), feature.key)
+        known = known or {}
         for graph_id in feature.cover:
             graph = graphs.get(graph_id)
             if graph is None:
                 continue
-            count = count_embeddings(
-                graph, feature.tree, limit=EMBEDDING_COUNT_CAP
-            )
+            count = known.get(graph_id)
+            if count is None:
+                count = count_embeddings(
+                    graph, feature.tree, limit=EMBEDDING_COUNT_CAP
+                )
+            count = min(count, EMBEDDING_COUNT_CAP)
             if count:
                 self.tg.set(feature.key, graph_id, count)
 

@@ -124,12 +124,29 @@ class IndexPair:
         current = {feature.key: feature for feature in fct_set.fcts()}
         for feature in fct_set.frequent_edges():
             current.setdefault(feature.key, feature)
+        # Embedding counts in the added graphs, where the FCT mine of Δ⁺
+        # enumerated them.
+        mined_counts = {}
+        for graph_id in added:
+            graph = graphs.get(graph_id)
+            if graph is not None:
+                counts = fct_set.delta_counts(graph_id, graph)
+                if counts is not None:
+                    mined_counts[graph_id] = counts
         stale_keys = self.fct.feature_keys() - set(current)
         for key in stale_keys:
             self.fct.remove_feature(key)
         new_keys = set(current) - self.fct.feature_keys()
         for key in new_keys:
-            self.fct.add_feature(current[key], graphs)
+            self.fct.add_feature(
+                current[key],
+                graphs,
+                known={
+                    graph_id: counts[key]
+                    for graph_id, counts in mined_counts.items()
+                    if key in counts
+                },
+            )
         registry.counter("index.features_added").add(len(new_keys))
         registry.counter("index.features_removed").add(len(stale_keys))
         # Columns for newly added graphs (features already present get
@@ -138,13 +155,17 @@ class IndexPair:
             graph = graphs.get(graph_id)
             if graph is None:
                 continue
+            counts = mined_counts.get(graph_id, {})
             for key in self.fct.feature_keys() - new_keys:
                 feature = current[key]
                 if graph_id not in feature.cover:
                     continue
-                count = count_embeddings(
-                    graph, feature.tree, limit=EMBEDDING_COUNT_CAP
-                )
+                count = counts.get(key)
+                if count is None:
+                    count = count_embeddings(
+                        graph, feature.tree, limit=EMBEDDING_COUNT_CAP
+                    )
+                count = min(count, EMBEDDING_COUNT_CAP)
                 if count:
                     self.fct.tg.set(key, graph_id, count)
         # IFE side: refresh the infrequent label set, then new columns.

@@ -261,18 +261,25 @@ class SQLiteStore(GraphStore):
     # mutation primitives
     # ------------------------------------------------------------------
     def _insert_rows(
-        self, graphs: list[tuple[int, LabeledGraph]]
+        self,
+        graphs: list[tuple[int, LabeledGraph]],
+        payloads: list[dict] | None = None,
     ) -> None:
         """Insert graph rows and maintain the per-shard posting lists.
+
+        *payloads*, when given, are the graphs' :func:`graph_to_dict`
+        forms up to ``name``, which each row takes from its graph.
 
         Large batches fan their per-shard posting deltas through the
         ambient kernel pool with ordered reduction; the serial loop is
         the reference the kernel must match bit for bit.
         """
         registry = get_registry()
+        if payloads is None:
+            payloads = [graph_to_dict(graph) for _, graph in graphs]
         rows = []
-        for graph_id, graph in graphs:
-            payload = graph_to_dict(graph)
+        for (graph_id, graph), payload in zip(graphs, payloads):
+            payload = dict(payload, name=graph.name)
             rows.append(
                 (
                     graph_id,
@@ -428,7 +435,11 @@ class SQLiteStore(GraphStore):
     # journaling
     # ------------------------------------------------------------------
     def _journal_submitted(
-        self, update: BatchUpdate, assigned: list[int], update_id: int
+        self,
+        update: BatchUpdate,
+        assigned: list[int],
+        update_id: int,
+        payloads: list[dict],
     ) -> None:
         if self._journal is None:
             return
@@ -437,9 +448,7 @@ class SQLiteStore(GraphStore):
                 "type": "submitted",
                 "update_id": update_id,
                 "store_batch": {
-                    "insertions": [
-                        graph_to_dict(graph) for graph in update.insertions
-                    ],
+                    "insertions": payloads,
                     "deletions": list(update.deletions),
                     "assigned_ids": assigned,
                     "next_id_after": self._next_id + len(update.insertions),
@@ -508,7 +517,7 @@ class SQLiteStore(GraphStore):
                     ))
                 )
             if named:
-                self._insert_rows(named)
+                self._insert_rows(named, payload["insertions"])
             self._next_id = max(self._next_id, payload["next_id_after"])
             self._set_meta("next_id", str(self._next_id))
             self._set_meta("last_applied_update", str(update_id))
@@ -548,7 +557,9 @@ class SQLiteStore(GraphStore):
         )
         self._update_seq += 1
         update_id = self._update_seq
-        self._journal_submitted(update, assigned, update_id)
+        # Serialized once: the journal frame and the rows share it.
+        payloads = [graph_to_dict(graph) for graph in update.insertions]
+        self._journal_submitted(update, assigned, update_id, payloads)
         self._begin()
         record = AppliedUpdate()
         for graph_id in update.deletions:
@@ -564,7 +575,7 @@ class SQLiteStore(GraphStore):
             )
             record.inserted_ids.append(graph_id)
         if named:
-            self._insert_rows(named)
+            self._insert_rows(named, payloads)
         self._next_id += len(update.insertions)
         self._set_meta("next_id", str(self._next_id))
         self._set_meta("last_applied_update", str(update_id))

@@ -27,7 +27,9 @@ SIBLING_SEPARATOR = "$"
 
 def tree_centers(tree: LabeledGraph) -> list[VertexId]:
     """Return the 1 or 2 centre vertices of a tree (iterated leaf pruning)."""
-    if not tree.is_tree():
+    # With n - 1 edges, a graph that is not a tree has a cycle, whose
+    # vertices never become leaves: the pruning stalls on it.
+    if tree.num_vertices == 0 or tree.num_edges != tree.num_vertices - 1:
         raise GraphError("tree_centers requires a connected acyclic graph")
     if tree.num_vertices == 1:
         return list(tree.vertices())
@@ -35,6 +37,8 @@ def tree_centers(tree: LabeledGraph) -> list[VertexId]:
     leaves = [v for v, d in degree.items() if d <= 1]
     remaining = tree.num_vertices
     while remaining > 2:
+        if not leaves:
+            raise GraphError("tree_centers requires a connected acyclic graph")
         remaining -= len(leaves)
         next_leaves: list[VertexId] = []
         for leaf in leaves:
@@ -63,6 +67,80 @@ def tree_certificate(tree: LabeledGraph) -> TreeCode:
     """
     centers = tree_centers(tree)
     return min(rooted_code(tree, center) for center in centers)
+
+
+def _encode(
+    tree: LabeledGraph,
+    vertex: VertexId,
+    parent: VertexId | None,
+    codes: dict[VertexId, TreeCode],
+) -> TreeCode:
+    """:func:`rooted_code`, also recording every vertex's subtree code."""
+    code = (
+        tree.label(vertex),
+        tuple(
+            sorted(
+                _encode(tree, child, vertex, codes)
+                for child in tree.neighbors(vertex)
+                if child != parent
+            )
+        ),
+    )
+    codes[vertex] = code
+    return code
+
+
+def canonical_order(tree: LabeledGraph) -> tuple[TreeCode, tuple[VertexId, ...]]:
+    """Certificate of *tree* and its vertices in canonical numbering.
+
+    The numbering is a breadth-first scan from the canonical root that
+    visits each vertex's children in ascending order of their subtree
+    codes, the order :func:`canonical_tokens` serialises.  Children
+    with equal codes root isomorphic subtrees, so for two isomorphic
+    trees position *i* of one order maps to position *i* of the other
+    under an isomorphism, and :func:`renumbered` turns both into the
+    same graph.
+    """
+    best: tuple[TreeCode, VertexId, dict[VertexId, TreeCode]] | None = None
+    for center in tree_centers(tree):
+        codes: dict[VertexId, TreeCode] = {}
+        code = _encode(tree, center, None, codes)
+        if best is None or code < best[0]:
+            best = (code, center, codes)
+    key, root, codes = best
+    order = [root]
+    parent_of: dict[VertexId, VertexId | None] = {root: None}
+    for vertex in order:  # grows while it is scanned: breadth-first
+        children = [
+            child for child in tree.neighbors(vertex) if child != parent_of[vertex]
+        ]
+        children.sort(key=codes.__getitem__)
+        for child in children:
+            parent_of[child] = vertex
+            order.append(child)
+    return key, tuple(order)
+
+
+def renumbered(tree: LabeledGraph, order: tuple[VertexId, ...]) -> LabeledGraph:
+    """Copy of *tree* with vertex ``order[i]`` renamed *i*.
+
+    Edges are inserted by their larger endpoint, so renumbering two
+    isomorphic trees by their :func:`canonical_order` gives identical
+    graphs.
+    """
+    position = {vertex: index for index, vertex in enumerate(order)}
+    clone = LabeledGraph()
+    for vertex in order:
+        clone.add_vertex(position[vertex], tree.label(vertex))
+    edges = sorted(
+        (position[v], position[u])
+        for u in order
+        for v in tree.neighbors(u)
+        if position[u] < position[v]
+    )
+    for high, low in edges:
+        clone.add_edge(low, high)
+    return clone
 
 
 def canonical_root(tree: LabeledGraph) -> VertexId:

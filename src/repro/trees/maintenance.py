@@ -10,13 +10,15 @@ Sections 3.3 and 4.2; Lemmas 3.4 and 4.5):
    already present;
 2. on a batch insertion Δ⁺, only Δ⁺ is mined (again at the relaxed
    threshold); trees already pooled get their exact cover sets extended
-   by containment tests against the new graphs only, and genuinely new
-   trees get their historic cover computed by a single scan — the classic
-   CTMiningAdd merge.  The scan is filter-then-verify: support
-   anti-monotonicity bounds a new tree's historic cover by its subtrees'
-   covers (:class:`HistoricBound`), a tree that cannot reach the relaxed
-   threshold even with that bound is neither grown nor scanned, and every
-   other tree is verified only against its bound;
+   from the same mine, which keeps pooled trees at any Δ⁺ support, and
+   genuinely new trees get their historic cover computed by a single
+   scan — the classic CTMiningAdd merge.  The scan is
+   filter-then-verify: support anti-monotonicity bounds a new tree's
+   historic cover by its subtrees' covers (:class:`HistoricBound`), a
+   tree that cannot reach the relaxed threshold even with that bound is
+   neither grown nor scanned, every other tree is verified only against
+   its bound, and a scan stops once the tree can no longer reach the
+   threshold;
 3. on a batch deletion Δ⁻, cover sets simply shed the removed IDs — the
    CTMiningDelete step;
 4. closedness is recomputed inside the pool: a tree is non-closed iff an
@@ -34,13 +36,13 @@ closed trees at the original threshold, and ``frequent_edges()`` /
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from ..graph.labeled_graph import EdgeLabel, LabeledGraph
 from ..isomorphism.matcher import contains
 from ..obs import get_registry
 from .canonical import TreeCode, tree_certificate
-from .mining import DEFAULT_MAX_EDGES, MinedTree, TreeMiner
+from .mining import DEFAULT_MAX_EDGES, GrowthMemo, MinedTree, TreeMiner
 
 
 class HistoricBound:
@@ -154,7 +156,22 @@ class FCTSet:
         self.max_edges = max_edges
         self._graphs: dict[int, LabeledGraph] = dict(graphs)
         self._pool: dict[TreeCode, MinedTree] = {}
+        self._memo: GrowthMemo = {}
+        self._delta_counts: dict[int, tuple[LabeledGraph, dict[TreeCode, int]]] = {}
         self.rebuild()
+
+    def __getstate__(self) -> dict:
+        # The growth memo is a cache and the Δ⁺ counts serve one index
+        # update: neither belongs in a snapshot or a checkpoint.
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        state.pop("_delta_counts", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+        self._delta_counts = {}
 
     # ------------------------------------------------------------------
     # inspection
@@ -214,6 +231,21 @@ class FCTSet:
         """Exact cover size of a pooled tree (KeyError if not pooled)."""
         return self._pool[key].support_count
 
+    def delta_counts(
+        self, graph_id: int, graph: LabeledGraph
+    ) -> Mapping[TreeCode, int] | None:
+        """Embedding counts in *graph* of the trees the last CTMiningAdd
+        mined, keyed by tree, or None when that add did not insert this
+        graph object or did not take its covers from the mine.
+
+        Counts are uncapped and exact for every pooled tree whose cover
+        holds *graph_id*.
+        """
+        entry = self._delta_counts.get(graph_id)
+        if entry is None or entry[0] is not graph:
+            return None
+        return entry[1]
+
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -223,11 +255,12 @@ class FCTSet:
             miner = TreeMiner(
                 self._graphs, self.relaxed_threshold, self.max_edges
             )
-            self._pool = miner.mine()
+            self._pool = miner.mine(memo=self._memo)
             self._covers_exact = not miner.cap_hit
         else:
             self._pool = {}
             self._covers_exact = True
+        self._trim_memo()
         self._recompute_closedness()
 
     def add_graphs(self, new_graphs: Mapping[int, LabeledGraph]) -> None:
@@ -272,16 +305,15 @@ class FCTSet:
         duplicate_ids = set(new_graphs) & set(self._graphs)
         if duplicate_ids:
             raise ValueError(f"graph ids already present: {sorted(duplicate_ids)}")
+        self._delta_counts = {}
         old_graphs = dict(self._graphs)
-        containment_tests = 0
-        # 1. Extend covers of pooled trees over the new graphs.
-        for entry in self._pool.values():
-            for graph_id, graph in new_graphs.items():
-                containment_tests += 1
-                if contains(graph, entry.tree):
-                    entry.cover.add(graph_id)
-        # 2. Mine Δ⁺ at the relaxed threshold, growing only trees that
-        #    can still be frequent in D ∪ Δ⁺, and merge novel trees.
+        # 1. Mine Δ⁺ at the relaxed threshold, growing only trees that
+        #    can still be frequent in D ∪ Δ⁺.  While covers are exact the
+        #    pool holds every leaf-deleted subtree of each pooled tree,
+        #    so the same mine, told to keep pooled trees at any Δ⁺
+        #    support, enumerates every pooled tree with a Δ⁺ embedding
+        #    that can survive: the bound refuses to grow a tree only
+        #    when none of its supertrees can reach the floor.
         floor = self._min_count(
             self.relaxed_threshold, len(old_graphs) + len(new_graphs)
         )
@@ -291,33 +323,68 @@ class FCTSet:
             else None
         )
         delta_miner = TreeMiner(new_graphs, self.relaxed_threshold, self.max_edges)
-        mined = delta_miner.mine(bound.can_survive if bound else None)
-        if bound is not None and delta_miner.cap_hit:
-            # Capped Δ⁺ covers are lower bounds, so the bound may have
-            # stopped growth a full mine would have done: mine again.
-            delta_miner = TreeMiner(
-                new_graphs, self.relaxed_threshold, self.max_edges
+        if bound is None:
+            mined = delta_miner.mine(memo=self._memo)
+            from_mine = False
+        else:
+            mined = delta_miner.mine(
+                bound.can_survive, pooled=self._pool, memo=self._memo
             )
-            mined = delta_miner.mine()
+            from_mine = not (delta_miner.cap_hit or delta_miner.degraded)
+            if delta_miner.cap_hit:
+                # Capped Δ⁺ covers are lower bounds, so the bound may
+                # have stopped growth a full mine would have done: mine
+                # again.
+                delta_miner = TreeMiner(
+                    new_graphs, self.relaxed_threshold, self.max_edges
+                )
+                mined = delta_miner.mine(memo=self._memo)
         if delta_miner.cap_hit or delta_miner.degraded:
             bound = None
+        containment_tests = 0
+        # 2. Extend covers of pooled trees over Δ⁺: from the mine, or by
+        #    containment tests against the new graphs where the mine
+        #    cannot vouch for them.
+        if from_mine:
+            for key, tree in mined.items():
+                entry = self._pool.get(key)
+                if entry is not None:
+                    entry.cover |= tree.cover
+        else:
+            for entry in self._pool.values():
+                for graph_id, graph in new_graphs.items():
+                    containment_tests += 1
+                    if contains(graph, entry.tree):
+                        entry.cover.add(graph_id)
+        # 3. Merge novel trees with one historic scan each.
         bound_skips = 0
         for key, tree in mined.items():
             if key in self._pool:
-                continue  # cover already extended in step 1
-            scan: Collection[int] = old_graphs
-            if bound is not None:
-                if not bound.can_survive(tree):
-                    bound_skips += 1  # _prune would drop it
-                    continue
+                continue  # cover already extended in step 2
+            if bound is None:
+                scan = list(old_graphs)
+            elif bound.can_survive(tree):
                 superset = bound.superset(key, tree.tree)
                 scan = [graph_id for graph_id in old_graphs if graph_id in superset]
-            containment_tests += len(scan)
-            tree.cover |= {
-                graph_id
-                for graph_id in scan
-                if contains(old_graphs[graph_id], tree.tree)
-            }
+            else:
+                bound_skips += 1  # _prune would drop it
+                continue
+            # _prune drops the tree once its hits plus the graphs left to
+            # test cannot reach the floor, so the scan stops there.
+            needed = floor - len(tree.cover)
+            hits: list[int] = []
+            left = len(scan)
+            for graph_id in scan:
+                if len(hits) + left < needed:
+                    break
+                left -= 1
+                containment_tests += 1
+                if contains(old_graphs[graph_id], tree.tree):
+                    hits.append(graph_id)
+            if len(hits) + left < needed:
+                bound_skips += 1
+                continue
+            tree.cover.update(hits)
             self._pool[key] = tree
         registry = get_registry()
         registry.counter("fct.containment_tests").add(containment_tests)
@@ -325,6 +392,11 @@ class FCTSet:
         self._covers_exact = self._covers_exact and not delta_miner.cap_hit
         self._graphs.update(new_graphs)
         self._prune()
+        if from_mine:
+            self._delta_counts = {
+                graph_id: (new_graphs[graph_id], counts)
+                for graph_id, counts in delta_miner.embedding_counts.items()
+            }
         return True
 
     def _remove(self, graph_ids: Iterable[int]) -> bool:
@@ -334,6 +406,7 @@ class FCTSet:
             raise ValueError(f"graph ids not present: {sorted(missing)}")
         if not removed:
             return False
+        self._delta_counts = {}
         for graph_id in removed:
             del self._graphs[graph_id]
         for entry in self._pool.values():
@@ -348,7 +421,14 @@ class FCTSet:
             for key, entry in self._pool.items()
             if entry.support_count >= minimum and entry.support_count > 0
         }
+        self._trim_memo()
         get_registry().gauge("fct.pool_size").set(len(self._pool))
+
+    def _trim_memo(self) -> None:
+        """Keep growth routes of pooled parents only."""
+        self._memo = {
+            key: routes for key, routes in self._memo.items() if key in self._pool
+        }
 
     def _recompute_closedness(self) -> None:
         """Mark each pooled tree closed iff no equal-support one-edge

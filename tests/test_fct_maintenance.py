@@ -5,6 +5,7 @@ scratch on the updated database (same FCTs, same supports).
 """
 
 import functools
+import pickle
 import random
 from unittest import mock
 
@@ -17,7 +18,14 @@ from repro.isomorphism import contains
 from repro.isomorphism.matcher import find_embeddings
 from repro.obs import get_registry
 from repro.resilience.budget import Budget, use_budget
-from repro.trees import FCTSet, MinedTree, TreeMiner, maintenance
+from repro.trees import (
+    FCTSet,
+    MinedTree,
+    TreeMiner,
+    TreeNatMiner,
+    maintenance,
+    mine_closed_trees,
+)
 from repro.trees.canonical import tree_certificate
 
 from .conftest import make_graph
@@ -300,9 +308,9 @@ class TestBoundedAdd:
             def __init__(self, *args):
                 super().__init__(*args, embedding_cap=2)
 
-            def mine(self, grow_filter=None):
+            def mine(self, grow_filter=None, pooled=None, memo=None):
                 filtered.append(grow_filter is not None)
-                return super().mine(grow_filter)
+                return super().mine(grow_filter, pooled, memo)
 
         monkeypatch.setattr(maintenance, "TreeMiner", CappedMiner)
         # A C with four O neighbours embeds C-O four times: over the cap.
@@ -357,41 +365,126 @@ class TestBoundedAdd:
 
 
 # ----------------------------------------------------------------------
-# TreeMiner._grow child memo
+# TreeMiner growth by embedding extension
 # ----------------------------------------------------------------------
-def naive_grow(miner: TreeMiner, parent: MinedTree) -> dict:
-    """``_grow`` without the (pattern vertex, label) memo."""
-    children = {}
-    pattern = parent.tree
-    new_vertex = pattern.num_vertices
-    for graph_id in parent.cover:
-        host = miner._graphs[graph_id]
-        seen_local = set()
-        for embedding in find_embeddings(host, pattern, limit=miner.embedding_cap):
-            used = set(embedding.values())
-            for pattern_vertex, host_vertex in embedding.items():
-                for neighbor in host.neighbors(host_vertex) - used:
-                    grown = pattern.copy()
-                    grown.add_vertex(new_vertex, host.label(neighbor))
-                    grown.add_edge(pattern_vertex, new_vertex)
-                    key = tree_certificate(grown)
-                    entry = children.get(key)
-                    if entry is None:
-                        entry = MinedTree(tree=grown.relabeled(), key=key)
-                        children[key] = entry
-                    if key not in seen_local:
-                        entry.cover.add(graph_id)
-                        seen_local.add(key)
-    return children
+def recorded_embeddings(miner: TreeMiner, **mine_args) -> tuple[dict, dict]:
+    """Mine, recording what growth found per (tree, host): the list of
+    embeddings, or their count at the ``max_edges`` frontier."""
+    found_per_host = {}
+    settle = miner._settle
+
+    def record(graph_id, found, keep):
+        for node, got in found.items():
+            found_per_host[node.mined.key, graph_id] = (node, got)
+        settle(graph_id, found, keep)
+
+    with mock.patch.object(miner, "_settle", record):
+        mined = miner.mine(**mine_args)
+    for node, _ in found_per_host.values():
+        node.materialize()  # trees that did not survive their level
+    return mined, {
+        cell: (node.mined.tree, got)
+        for cell, (node, got) in found_per_host.items()
+    }
 
 
-class TestGrowMemo:
+class TestExtensionGrowth:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.2, 0.4]),
+        st.sampled_from([2, 3, 4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_embeddings_equal_vf2(self, seed, min_support, max_edges):
+        rng = random.Random(seed)
+        graphs = random_batch(rng, 0, rng.randint(2, 8))
+        miner = TreeMiner(graphs, min_support, max_edges=max_edges)
+        mined, found = recorded_embeddings(miner, pooled=())
+        assert not miner.cap_hit
+        for (key, graph_id), (tree, got) in found.items():
+            assert tree_certificate(tree) == key
+            reference = {
+                tuple(embedding[v] for v in range(tree.num_vertices))
+                for embedding in find_embeddings(graphs[graph_id], tree)
+            }
+            if isinstance(got, int):
+                assert got == len(reference)
+            else:
+                assert len(got) == len(set(got))
+                assert set(got) == reference
+        for key, tree in mined.items():
+            assert tree.cover == {
+                graph_id
+                for graph_id, graph in graphs.items()
+                if contains(graph, tree.tree)
+            }
+            for graph_id in tree.cover:
+                assert miner.embedding_counts[graph_id][key] == len(
+                    find_embeddings(graphs[graph_id], tree.tree)
+                )
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_memoised_grow_matches_naive(self, seed):
+    def test_closed_flags_agree_with_treenat(self, seed):
         rng = random.Random(seed)
-        miner = TreeMiner(random_batch(rng, 0, 6), 0.3, max_edges=4)
-        for parent in miner.mine().values():
-            assert pool_state(miner._grow(parent)) == pool_state(
-                naive_grow(miner, parent)
+        graphs = random_batch(rng, 0, rng.randint(3, 8))
+        levelwise = {
+            (repr(t.key), t.support_count)
+            for t in TreeMiner(graphs, 0.3, max_edges=3).mine_closed()
+        }
+        recursive = {
+            (repr(t.key), t.support_count)
+            for t in TreeNatMiner(graphs, 0.3, max_edges=3).mine_closed()
+        }
+        wrapper = {
+            (repr(t.key), t.support_count)
+            for t in mine_closed_trees(graphs, 0.3, max_edges=3)
+        }
+        assert levelwise == recursive == wrapper
+
+    def test_isomorphic_trees_share_one_representative(self):
+        graphs = {
+            0: make_graph("CON", [(0, 1), (0, 2)]),
+            1: make_graph("NCO", [(1, 0), (1, 2)]),
+        }
+        mined = TreeMiner(graphs, 1.0, max_edges=2).mine()
+        memo = {}
+        again = TreeMiner(dict(reversed(graphs.items())), 1.0, 2).mine(memo=memo)
+        for key, tree in mined.items():
+            assert sorted(tree.tree.labels().items()) == sorted(
+                again[key].tree.labels().items()
             )
+            assert sorted(tree.tree.edges()) == sorted(again[key].tree.edges())
+        assert set(memo) == {
+            key for key, tree in again.items() if tree.num_edges == 1
+        }
+
+    def test_growth_memo_is_trimmed_with_the_pool(self, graphs, fct_set):
+        assert fct_set._memo
+        assert set(fct_set._memo) <= set(fct_set._pool)
+        fct_set.remove_graphs(list(graphs)[:4])
+        assert set(fct_set._memo) <= set(fct_set._pool)
+        state = pickle.loads(pickle.dumps(fct_set))
+        assert state._memo == {} and state._delta_counts == {}
+        assert pool_state(state._pool) == pool_state(fct_set._pool)
+
+
+class TestDeltaCounts:
+    def test_counts_cover_every_pooled_tree_in_new_graphs(self, fct_set):
+        fct_set.add_graphs(DELTA)
+        for graph_id, graph in DELTA.items():
+            counts = fct_set.delta_counts(graph_id, graph)
+            assert counts is not None
+            for tree in fct_set.pool():
+                if graph_id in tree.cover:
+                    assert counts[tree.key] == len(
+                        find_embeddings(graph, tree.tree)
+                    )
+        assert fct_set.delta_counts(100, DELTA[101]) is None
+        fct_set.remove_graphs([100])
+        assert fct_set.delta_counts(101, DELTA[101]) is None
+
+    def test_no_counts_without_exact_covers(self, fct_set):
+        fct_set._covers_exact = False
+        fct_set.add_graphs(DELTA)
+        assert fct_set.delta_counts(100, DELTA[100]) is None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.index import FCTIndex, IFEIndex, IndexPair
+from repro.index.fct_index import EMBEDDING_COUNT_CAP
 from repro.isomorphism import contains, count_embeddings, covered_graphs
 from repro.trees import FCTSet
 
@@ -234,6 +235,45 @@ class TestIndexPair:
                 if contains(graph, pattern)
             }
             assert truth <= pair.candidate_graphs(pattern, new_graphs)
+
+    def test_inserted_columns_equal_vf2_counts(self, setting, monkeypatch):
+        """TG cells of inserted graphs come from the FCT mine of Δ⁺ and
+        equal the (capped) VF2 counts."""
+        from repro.index import maintenance
+
+        graphs, fct_set = setting
+        pair = IndexPair.build(fct_set, graphs)
+        star = "C" + "O" * 7
+        additions = {
+            300 + i: make_graph(star, [(0, j) for j in range(1, 8)])
+            for i in range(6)
+        }
+        additions[306] = make_graph("COSN", [(0, 1), (1, 2), (0, 3)])
+        fct_set.apply(added=additions, removed=[])
+        new_graphs = dict(graphs)
+        new_graphs.update(additions)
+        monkeypatch.setattr(
+            maintenance, "count_embeddings", pytest.fail, raising=True
+        )
+        pair.apply_update(
+            fct_set, new_graphs, added_ids=additions, removed_ids=[]
+        )
+        cells = 0
+        for feature in pair.fct.features():
+            row = pair.fct.tg.row(feature.key)
+            for graph_id, graph in additions.items():
+                assert fct_set.delta_counts(graph_id, graph) is not None
+                expected = min(
+                    count_embeddings(graph, feature.tree),
+                    EMBEDDING_COUNT_CAP,
+                )
+                assert row.get(graph_id, 0) == expected
+                cells += expected > 0
+        assert cells
+        assert any(
+            row.get(300) == EMBEDDING_COUNT_CAP
+            for row in map(pair.fct.tg.row, pair.fct.feature_keys())
+        )
 
     def test_sync_patterns(self, setting):
         graphs, fct_set = setting

@@ -91,6 +91,17 @@ class TestContainerConformance:
         expected["name"] = f"G{gid}"
         assert graph_to_dict(store[gid]) == expected
 
+    def test_batch_graphs_round_trip_named_and_unnamed(self, store):
+        named = make_graph("CN", [(0, 1)])
+        named.name = "kept"
+        graphs = [make_graph("COS", [(0, 1), (0, 2)]), named]
+        record = store.apply(BatchUpdate.of(insertions=graphs))
+        for gid, graph in zip(record.inserted_ids, graphs):
+            expected = graph_to_dict(graph)
+            expected["name"] = graph.name or f"G{gid}"
+            assert graph_to_dict(store[gid]) == expected
+        assert graphs[0].name is None
+
 
 class TestMutationConformance:
     def test_remove_returns_graph(self, store):
