@@ -7,11 +7,9 @@ prefilter — the operations whose costs dominate every experiment.
 """
 
 import pickle
-import random
 
 import pytest
 
-from repro.covindex import CoverageIndex, available_substrates, make_ops
 from repro.datasets import aids_like
 from repro.ged import ged_bipartite_upper_bound, ged_tight_lower_bound
 from repro.graph import LabeledGraph
@@ -170,9 +168,8 @@ def test_fct_add_batch(benchmark, graphs):
     } == literal
 
 
-def test_count_embeddings_unfiltered(benchmark, graphs, pattern):
-    """Embedding counts over every graph — the baseline the coverage
-    engine's posting-list filter is measured against."""
+def test_count_embeddings(benchmark, graphs, pattern):
+    """Embedding counts over every graph (the TG/TP matrix entries)."""
 
     def scan():
         return sum(
@@ -180,83 +177,6 @@ def test_count_embeddings_unfiltered(benchmark, graphs, pattern):
         )
 
     assert benchmark(scan) >= 0
-
-
-def test_count_embeddings_covindex_filtered(benchmark, graphs, pattern):
-    """Embedding counts over posting-list survivors only.
-
-    Filtered-out graphs have zero embeddings by the invariant-soundness
-    argument, so the filtered total must equal the unfiltered one.
-    """
-    index = CoverageIndex.build(graphs)
-
-    def scan():
-        return sum(
-            count_embeddings(graphs[gid], pattern, limit=64)
-            for gid in index.candidate_ids(pattern)
-        )
-
-    filtered_total = benchmark(scan)
-    unfiltered_total = sum(
-        count_embeddings(g, pattern, limit=64) for g in graphs.values()
-    )
-    assert filtered_total == unfiltered_total
-
-
-# ----------------------------------------------------------------------
-# bitset substrates (docs/PERFORMANCE.md) — the CI PR gate runs these
-# and the FCT ones (`pytest benchmarks/test_micro_substrates.py -k
-# "bitset or fct"`), so a substrate regression fails the gate before it
-# can reach a figure run.
-# ----------------------------------------------------------------------
-#: A wide synthetic universe: IDs far past one machine word, the regime
-#: the numpy word-array substrate exists for.
-BITSET_UNIVERSE = 100_000
-
-#: Posting rows ANDed per filter query (a generous pattern key count).
-BITSET_ROWS = 32
-
-
-@pytest.fixture(scope="module")
-def bitset_id_rows():
-    rng = random.Random(99)
-    return [
-        rng.sample(range(BITSET_UNIVERSE), BITSET_UNIVERSE // 4)
-        for _ in range(BITSET_ROWS)
-    ]
-
-
-def _and_reduce(ops, rows):
-    acc = ops.copy(rows[0])
-    for row in rows[1:]:
-        acc = ops.intersect(acc, row)
-    return acc
-
-
-@pytest.mark.parametrize("substrate", sorted(available_substrates()))
-def test_bitset_and_reduce(benchmark, bitset_id_rows, substrate):
-    """AND across all posting rows — the candidate-filter hot loop."""
-    ops = make_ops(substrate)
-    rows = [ops.from_ids(ids) for ids in bitset_id_rows]
-
-    survivors = ops.to_int(benchmark(_and_reduce, ops, rows))
-
-    int_ops = make_ops("int")
-    reference = _and_reduce(
-        int_ops, [int_ops.from_ids(ids) for ids in bitset_id_rows]
-    )
-    assert survivors == int_ops.to_int(reference)
-
-
-@pytest.mark.parametrize("substrate", sorted(available_substrates()))
-def test_bitset_popcount(benchmark, bitset_id_rows, substrate):
-    """Popcount over a quarter-full 100k-bit set (engine stats path)."""
-    ops = make_ops(substrate)
-    value = ops.from_ids(bitset_id_rows[0])
-
-    result = benchmark(ops.popcount, value)
-
-    assert result == len(set(bitset_id_rows[0]))
 
 
 def test_index_prefilter_speedup(benchmark, graphs, pattern):

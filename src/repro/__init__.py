@@ -47,7 +47,6 @@ Package map
 * :mod:`repro.midas` — the MIDAS maintainer and baselines;
 * :mod:`repro.parallel` — the deterministic kernel process pool;
 * :mod:`repro.cache` — canonical-form result caches + invalidation;
-* :mod:`repro.covindex` — the filter-then-verify coverage engine;
 * :mod:`repro.check` — differential oracles, fuzzer, invariant guards;
 * :mod:`repro.serve` — the snapshot-isolated pattern-serving service
   (``python -m repro serve``);

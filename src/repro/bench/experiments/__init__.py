@@ -2,7 +2,6 @@
 
 from . import (
     ablations,
-    covix,
     fig09,
     fig10,
     fig11,
@@ -17,7 +16,6 @@ from . import (
 
 __all__ = [
     "ablations",
-    "covix",
     "fig09",
     "fig10",
     "fig11",

@@ -1,8 +1,7 @@
 """Store — out-of-core SQLite backend vs the in-memory store at scale.
 
 Not a paper figure: this driver validates the pluggable storage layer
-(:mod:`repro.store`) the way the covix figure validates the coverage
-engine.  It answers two questions the unit suite cannot:
+(:mod:`repro.store`).  It answers two questions the unit suite cannot:
 
 1. **Identity at scale.**  The same synthetic graph stream — bootstrap
    ingest plus :data:`NUM_ROUNDS` ±:data:`ROUND_PERCENT`% maintenance
@@ -21,8 +20,8 @@ The workload is store-level, not a full MIDAS trajectory: at
 (the paper's 10⁵ repository tier), far beyond what the scaled-down
 selection pipeline is meant to chew through, and the storage layer is
 what is under test here.  Batches go through the public
-:meth:`~repro.store.base.GraphStore.apply_batch` path so journaling,
-shard-posting maintenance and cache eviction are all exercised.
+:meth:`~repro.store.base.GraphStore.apply_batch` path so journaling
+and cache eviction are both exercised.
 Results land in ``BENCH_store.json`` (override with
 ``REPRO_STORE_BENCH_OUT``) for the scheduled CI artifact.
 """
@@ -37,7 +36,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from ...covindex.index import posting_snapshot
 from ...datasets import MoleculeGenerator, aids_profile
 from ...graph.database import BatchUpdate, GraphDatabase
 from ...store.sqlite import SQLiteStore
@@ -62,11 +60,6 @@ CHUNK = 2000
 #: (``REPRO_STORE_MEM_CEILING_MB`` overrides).
 DEFAULT_CEILING_MB = 512
 
-#: Full coverage-index cross-checks are quadratic-ish in repository
-#: size; only run them below this graph count (the conformance suite
-#: covers the small sizes exhaustively anyway).
-MAX_COVINDEX_CHECK_GRAPHS = 25_000
-
 
 def _digest(store) -> tuple:
     """Cheap whole-store fingerprint comparable across backends."""
@@ -77,18 +70,6 @@ def _digest(store) -> tuple:
         store.total_edges(),
         tuple(sorted(store.vertex_label_alphabet())),
     )
-
-
-def postings_agree(store: SQLiteStore) -> bool:
-    """Do the persisted postings equal a from-scratch index's?
-
-    Compares exactly what ``store.coverage_index() ==
-    CoverageIndex.build(dict(store.items()))`` compares — the snapshot
-    (universe plus posting bitsets) — but streams both sides: graphs
-    are folded one at a time and the persisted side never decodes the
-    per-graph key sets, so the check fits the store's memory ceiling.
-    """
-    return store.posting_snapshot() == posting_snapshot(store.items())
 
 
 def _stream(seed: int):
@@ -134,10 +115,6 @@ def _run_backend(
             store.apply_batch(_round_batch(store, generator, rng))
             digests.append(_digest(store))
         rounds_s = time.perf_counter() - start
-
-        covindex_ok = None
-        if backend == "sqlite" and count <= MAX_COVINDEX_CHECK_GRAPHS:
-            covindex_ok = postings_agree(store)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -149,7 +126,6 @@ def _run_backend(
         "rounds_s": rounds_s,
         "peak_mb": peak / (1024 * 1024),
         "digests": digests,
-        "covindex_ok": covindex_ok,
     }
 
 
@@ -165,7 +141,6 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
 
     identical = memory["digests"] == sqlite["digests"]
     within_ceiling = sqlite["peak_mb"] <= ceiling_mb
-    covindex_checked = sqlite["covindex_ok"] is not None
 
     table = ExperimentTable(
         title=(
@@ -219,17 +194,6 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
         1.0,
         "identical" if identical else "MISMATCH",
     )
-    table.add_row(
-        "covindex",
-        int(covindex_checked),
-        int(bool(sqlite["covindex_ok"])),
-        1.0,
-        (
-            ("ok" if sqlite["covindex_ok"] else "MISMATCH")
-            if covindex_checked
-            else f"skipped > {MAX_COVINDEX_CHECK_GRAPHS} graphs"
-        ),
-    )
     table.add_note(
         "digest = (count, next id, vertices, edges, alphabet) per round; "
         "SQLite peak alone is gated by REPRO_STORE_MEM_CEILING_MB"
@@ -256,11 +220,6 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentTable:
             "store figure failed: SQLite trajectory diverged from the "
             "in-memory backend (digest mismatch)"
         )
-    if covindex_checked and not sqlite["covindex_ok"]:
-        raise RuntimeError(
-            "store figure failed: persisted SQLite postings do not "
-            "reassemble to the from-scratch coverage index"
-        )
     if not within_ceiling:
         raise RuntimeError(
             "store figure failed: SQLite backend peaked at "
@@ -274,9 +233,7 @@ __all__ = [
     "CHUNK",
     "DEFAULT_CEILING_MB",
     "GRAPHS_PER_UNIT",
-    "MAX_COVINDEX_CHECK_GRAPHS",
     "NUM_ROUNDS",
     "ROUND_PERCENT",
-    "postings_agree",
     "run",
 ]

@@ -6,11 +6,11 @@ free when checking is off (one global load per call site)::
     from ..check.invariants import check_enabled
     ...
     if check_enabled():
-        check_engine(self)
+        check_pattern_budget(patterns, budget)
 
 Checking is enabled ambiently — ``ExecutionConfig(check=True)`` /
 ``--check`` on the CLI, or :func:`use_check` in tests — mirroring the
-cache and covindex toggles.  A failed guard raises a typed
+cache toggle.  A failed guard raises a typed
 :class:`~repro.exceptions.InvariantViolation`; inside a transactional
 ``Midas.apply_update`` round the resilience layer maps that to a
 rolled-back round (re-raised as ``RolledBack`` with the violation
@@ -29,7 +29,7 @@ from ..exceptions import InvariantViolation
 from ..obs import get_registry
 
 # ----------------------------------------------------------------------
-# ambient enable flag (mirrors repro.cache.stores / repro.covindex.engine)
+# ambient enable flag (mirrors repro.cache.stores)
 # ----------------------------------------------------------------------
 _enabled = False
 
@@ -79,71 +79,6 @@ def invariant(condition: bool, name: str, detail: str = "") -> None:
 # ----------------------------------------------------------------------
 # guard helpers (the invariant catalogue, see docs/CORRECTNESS.md)
 # ----------------------------------------------------------------------
-def check_engine(engine) -> None:
-    """Bitset consistency of a :class:`~repro.covindex.engine.CoverageEngine`.
-
-    * ``verdict ⊆ seen`` — a graph can only match after its verdict is
-      known;
-    * ``seen ⊆ universe`` — no verdict bits survive for graphs outside
-      the indexed view;
-    * the incremental cover-set mirror agrees with the match bits;
-    * every graph of the view is indexed (posting membership recorded).
-    """
-    universe = engine.index.universe_bits
-    for key, (match, seen) in engine.export_verdicts().items():
-        invariant(
-            match & ~seen == 0,
-            "covindex.verdict_subset_seen",
-            f"pattern {key!r} has match bits outside seen bits",
-        )
-        invariant(
-            seen & ~universe == 0,
-            "covindex.seen_subset_universe",
-            f"pattern {key!r} has verdict bits for unindexed graphs",
-        )
-        invariant(
-            sum(1 << gid for gid in engine._cover_sets[key]) == match,
-            "covindex.cover_mirror_agrees",
-            f"pattern {key!r} cover-set mirror drifted from match bits",
-        )
-    for graph_id in engine.graphs:
-        invariant(
-            bool(universe & (1 << graph_id)),
-            "covindex.graph_indexed",
-            f"graph {graph_id} is in the view but not in the index universe",
-        )
-
-
-def check_coverage_index(index, graphs) -> None:
-    """Posting-list consistency of a :class:`CoverageIndex` over *graphs*.
-
-    Every graph of the view must be registered under exactly the posting
-    keys it satisfies, and no posting list may be empty (empty lists are
-    deleted eagerly by ``remove_graph``).
-    """
-    from ..covindex.index import graph_posting_keys
-
-    invariant(
-        set(index._keys_by_graph) == set(graphs),
-        "covindex.index_view_agrees",
-        f"indexed ids {sorted(index._keys_by_graph)} != view ids "
-        f"{sorted(graphs)}",
-    )
-    for graph_id, graph in graphs.items():
-        expected = graph_posting_keys(graph)
-        invariant(
-            index._keys_by_graph.get(graph_id) == expected,
-            "covindex.posting_membership",
-            f"graph {graph_id} posting keys drifted",
-        )
-    for key, bits in index.posting_items():
-        invariant(
-            bits != 0,
-            "covindex.no_empty_postings",
-            f"posting list {key!r} is empty but still present",
-        )
-
-
 def check_cache_fidelity(existing_rank: int, new_rank: int, key: str) -> None:
     """Fidelity-rank monotonicity of a cache upgrade (never downgrade)."""
     invariant(
@@ -177,9 +112,7 @@ def check_pattern_budget(patterns, budget) -> None:
 
 __all__ = [
     "check_cache_fidelity",
-    "check_coverage_index",
     "check_enabled",
-    "check_engine",
     "check_pattern_budget",
     "invariant",
     "set_check",

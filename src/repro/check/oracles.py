@@ -2,8 +2,8 @@
 
 Every performance-bearing path in the repo promises *byte-identical*
 results to a slow reference — parallel kernels vs serial, canonical-form
-caches vs cold, covindex delta coverage vs full VF2 rescan, incremental
-FCT/index maintenance vs rebuild.  Each :class:`Oracle` here packages
+caches vs cold, incremental FCT/index maintenance vs rebuild, pruned
+promising tests vs the literal definition.  Each :class:`Oracle` here packages
 one such promise as a pure function ``(workload) -> Mismatch | None``:
 it runs both sides on the same :class:`~repro.check.workload.Workload`
 and reports the first disagreement.  Metamorphic oracles (``canonical``,
@@ -51,10 +51,6 @@ from ..catapult.candidate import (
 from ..catapult.random_walk import decay_weights
 from ..catapult.selection import MWU_DECAY
 from ..csg.summary import SummaryGraph, build_csg
-from ..covindex.bitset import available_substrates, use_substrate
-from ..covindex.engine import use_covindex
-from ..covindex.index import CoverageIndex
-from ..exceptions import InvariantViolation
 from ..ged import ged
 from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph, edge_key
@@ -66,7 +62,6 @@ from ..patterns.budget import PatternBudget
 from ..patterns.metrics import CoverageOracle
 from ..serve.snapshot import SnapshotStore, build_snapshot
 from ..trees.maintenance import FCTSet
-from .invariants import check_coverage_index, check_engine
 from .workload import Mismatch, Workload, permuted_copy
 
 #: Support threshold used by the ``index`` oracle's FCT sets — high
@@ -172,14 +167,13 @@ def _brute_force_embeddings(
 # differential oracles
 # ----------------------------------------------------------------------
 def vf2_oracle(workload: Workload) -> Mismatch | None:
-    """VF2 seeded vs unseeded vs brute force on small graphs."""
+    """VF2 containment and embedding counts vs brute force."""
     hosts = [
         (tag, graph)
         for tag, graph in _all_graphs(workload)
         if not tag.startswith("pattern")
     ]
     for tag, host in hosts:
-        index = CoverageIndex.build({0: host})
         for i, pattern in enumerate(workload.patterns):
             brute = _brute_force_embeddings(host, pattern)
             plain = contains(host, pattern)
@@ -189,27 +183,6 @@ def vf2_oracle(workload: Workload) -> Mismatch | None:
                     "contains_vs_brute_force",
                     {"host": tag, "pattern": i, "vf2": plain, "brute": brute},
                 )
-            candidates = index.candidate_bits(pattern)
-            if brute > 0 and not candidates:
-                return Mismatch(
-                    "vf2",
-                    "filter_unsound",
-                    {"host": tag, "pattern": i, "brute": brute},
-                )
-            if candidates:
-                domains = index.vertex_domains(pattern, 0, host)
-                seeded = contains(host, pattern, domains=domains)
-                if seeded != plain:
-                    return Mismatch(
-                        "vf2",
-                        "seeded_vs_unseeded",
-                        {
-                            "host": tag,
-                            "pattern": i,
-                            "seeded": seeded,
-                            "unseeded": plain,
-                        },
-                    )
             counted = count_embeddings(host, pattern)
             if counted != brute:
                 return Mismatch(
@@ -220,93 +193,13 @@ def vf2_oracle(workload: Workload) -> Mismatch | None:
     return None
 
 
-def covindex_oracle(workload: Workload) -> Mismatch | None:
-    """Engine-backed delta coverage vs a full-scan oracle per view.
-
-    Two engine-backed oracles advance in lock-step — one on the ambient
-    default substrate (numpy where available), one pinned to the
-    plain-int reference — and both must agree with a fresh full-scan
-    oracle at every view.  Their indices and exported verdict bitsets
-    must also stay identical in canonical int form, the substrate
-    equivalence contract of docs/PERFORMANCE.md.
-    """
-    default_substrate = (
-        "numpy" if "numpy" in available_substrates() else "int"
-    )
-    with use_substrate(default_substrate), use_covindex(True):
-        fast = CoverageOracle(dict(workload.graphs))
-    with use_substrate("int"), use_covindex(True):
-        twin = CoverageOracle(dict(workload.graphs))
-    for step, view in enumerate(workload.views()):
-        if step > 0:
-            batch = workload.batches[step - 1]
-            fast.apply_update(batch.added, batch.removed)
-            twin.apply_update(batch.added, batch.removed)
-        with use_covindex(False):
-            reference = CoverageOracle(view)
-        for i, pattern in enumerate(workload.patterns):
-            want = reference.cover(pattern)
-            for label, oracle in (("engine", fast), ("int_twin", twin)):
-                got = oracle.cover(pattern)
-                if got != want:
-                    return Mismatch(
-                        "covindex",
-                        "cover_mismatch",
-                        {
-                            "view": step,
-                            "pattern": i,
-                            "substrate": label,
-                            "engine": sorted(got),
-                            "full_scan": sorted(want),
-                        },
-                    )
-        engine = fast._engine  # noqa: SLF001 - oracle inspects internals
-        int_engine = twin._engine  # noqa: SLF001
-        if engine is None or int_engine is None:
-            continue
-        if engine.index.snapshot() != CoverageIndex.build(view).snapshot():
-            return Mismatch(
-                "covindex",
-                "index_snapshot_drift",
-                {"view": step},
-            )
-        if engine.index.snapshot() != int_engine.index.snapshot():
-            return Mismatch(
-                "covindex",
-                "substrate_snapshot_drift",
-                {"view": step, "substrates": [engine.substrate, "int"]},
-            )
-        if engine.export_verdicts() != int_engine.export_verdicts():
-            return Mismatch(
-                "covindex",
-                "substrate_verdict_drift",
-                {"view": step, "substrates": [engine.substrate, "int"]},
-            )
-        for guarded in (engine, int_engine):
-            try:
-                check_engine(guarded)
-                check_coverage_index(guarded.index, view)
-            except InvariantViolation as exc:
-                return Mismatch(
-                    "covindex",
-                    "invariant",
-                    {
-                        "view": step,
-                        "substrate": guarded.substrate,
-                        "name": exc.name,
-                        "detail": exc.detail,
-                    },
-                )
-    return None
-
-
 def cache_oracle(workload: Workload) -> Mismatch | None:
     """Cache-on (cold and warm) vs cache-off cover/GED traces."""
-    with use_covindex(False), use_caching(False):
+    with use_caching(False):
         baseline = _cover_ged_trace(workload)
     previous = set_caches(CacheManager())
     try:
-        with use_covindex(False), use_caching(True):
+        with use_caching(True):
             cold = _cover_ged_trace(workload)
             warm = _cover_ged_trace(workload)
     finally:
@@ -327,43 +220,23 @@ def cache_oracle(workload: Workload) -> Mismatch | None:
 def parallel_oracle(workload: Workload) -> Mismatch | None:
     """Kernel fan-out vs the serial loop at 2 and 4 workers, same trace.
 
-    Runs every worker count twice, engine off (unseeded) and engine on
-    (seeded domains); either way persistent workers resolve hosts from
-    a published view via ``contains_view_kernel``.  All traces must
-    equal the covindex-off serial reference.
+    Persistent workers resolve hosts from a published view via
+    ``contains_view_kernel``; every trace must equal the serial one.
     """
-    with use_covindex(False), use_caching(False):
+    with use_caching(False):
         serial = _cover_ged_trace(workload)
-    with use_covindex(True), use_caching(False):
-        engine_serial = _cover_ged_trace(workload)
-    if engine_serial != serial:
-        view = next(
-            i
-            for i, (a, b) in enumerate(zip(engine_serial, serial))
-            if a != b
-        )
-        return Mismatch(
-            "parallel",
-            "trace_mismatch",
-            {"view": view, "workers": 1, "covindex": True},
-        )
     for workers in (2, 4):
-        for covindex in (False, True):
-            with use_covindex(covindex), use_caching(False), use_pool(
-                shared_pool(workers)
-            ):
-                fanned = _cover_ged_trace(workload)
-            if fanned != serial:
-                view = next(
-                    i
-                    for i, (a, b) in enumerate(zip(fanned, serial))
-                    if a != b
-                )
-                return Mismatch(
-                    "parallel",
-                    "trace_mismatch",
-                    {"view": view, "workers": workers, "covindex": covindex},
-                )
+        with use_caching(False), use_pool(shared_pool(workers)):
+            fanned = _cover_ged_trace(workload)
+        if fanned != serial:
+            view = next(
+                i for i, (a, b) in enumerate(zip(fanned, serial)) if a != b
+            )
+            return Mismatch(
+                "parallel",
+                "trace_mismatch",
+                {"view": view, "workers": workers},
+            )
     return None
 
 
@@ -385,7 +258,7 @@ def _index_pair_state(pair: IndexPair) -> tuple:
 
 
 def index_oracle(workload: Workload) -> Mismatch | None:
-    """Incremental FCT/index/covindex maintenance vs rebuild per view.
+    """Incremental FCT/index maintenance vs rebuild per view.
 
     Precondition (enforced by the generator hints): deletions per batch
     stay well under half the view, the Lemma 3.4/4.5 regime in which the
@@ -396,7 +269,6 @@ def index_oracle(workload: Workload) -> Mismatch | None:
         return None
     incremental = FCTSet(views[0], sup_min=FCT_SUP_MIN)
     pair = IndexPair.build(incremental, views[0])
-    cov = CoverageIndex.build(views[0])
     current = dict(views[0])
     for step, batch in enumerate(workload.batches):
         view = views[step + 1]
@@ -427,24 +299,6 @@ def index_oracle(workload: Workload) -> Mismatch | None:
                 "index",
                 "index_pair_incremental_vs_rebuild",
                 {"view": step + 1},
-            )
-        for gid in removed:
-            cov.remove_graph(gid)
-        for gid, graph in batch.added.items():
-            cov.add_graph(gid, graph)
-        if cov.snapshot() != CoverageIndex.build(view).snapshot():
-            return Mismatch(
-                "index",
-                "covindex_incremental_vs_rebuild",
-                {"view": step + 1},
-            )
-        try:
-            check_coverage_index(cov, view)
-        except InvariantViolation as exc:
-            return Mismatch(
-                "index",
-                "invariant",
-                {"view": step + 1, "name": exc.name, "detail": exc.detail},
             )
         current = dict(view)
     return None
@@ -478,36 +332,27 @@ def prune_oracle(workload: Workload) -> Mismatch | None:
 
     The first half of the workload's patterns is the displayed set and
     every pattern is a candidate.  ``PruningContext.is_promising`` —
-    with and without an FCT/IFE :class:`IndexPair`, with the coverage
-    engine on and off, and on an engine oracle maintained across the
-    batches — must decide exactly as the literal transcription on a
-    fresh full-scan oracle, and must leave complete covers behind.
+    with and without an FCT/IFE :class:`IndexPair` — must decide exactly
+    as the literal transcription on a fresh full-scan oracle, and must
+    leave complete covers behind.
     """
     patterns = list(workload.patterns)
     displayed = patterns[: max(1, len(patterns) // 2)]
-    with use_covindex(True):
-        maintained = CoverageOracle(dict(workload.graphs))
     for step, view in enumerate(workload.views()):
-        if step > 0:
-            batch = workload.batches[step - 1]
-            maintained.apply_update(batch.added, batch.removed)
-        with use_covindex(False):
-            fresh = CoverageOracle(view)
+        fresh = CoverageOracle(view)
         pair = (
             IndexPair.build(FCTSet(view, sup_min=FCT_SUP_MIN), view)
             if view
             else None
         )
-        variants = [("maintained_engine", maintained, None)]
-        for engine in (False, True):
-            for indexed in (None, pair):
-                with use_covindex(engine):
-                    oracle = CoverageOracle(view, index_pair=indexed)
-                label = (
-                    f"engine={'on' if engine else 'off'},"
-                    f"index={'on' if indexed is not None else 'off'}"
-                )
-                variants.append((label, oracle, indexed))
+        variants = [
+            (
+                f"index={'on' if indexed is not None else 'off'}",
+                CoverageOracle(view, index_pair=indexed),
+                indexed,
+            )
+            for indexed in (None, pair)
+        ]
         for kappa in (0.0, 0.5):
             want = _literal_promising(fresh, displayed, patterns, kappa)
             for label, oracle, indexed in variants:
@@ -917,53 +762,33 @@ def ged_oracle(workload: Workload) -> Mismatch | None:
 
 
 def scov_oracle(workload: Workload) -> Mismatch | None:
-    """Maintained covers track fresh covers; insert-only covers grow.
+    """Insert-only covers grow.
 
-    Checks (a) the memoisation staleness contract — a maintained plain
-    oracle must agree with a fresh one after every ``apply_update`` —
-    and (b) scov monotonicity: a pure-insertion batch can only enlarge
-    each cover set (and hence ``set_scov``'s numerator).
+    A pure-insertion batch can only enlarge each cover set (and hence
+    ``set_scov``'s numerator), view over view, each view on its own
+    fresh oracle.
     """
     views = list(workload.views())
-    with use_covindex(False):
-        maintained = CoverageOracle(views[0])
-        previous = [
-            maintained.cover(p) for p in workload.patterns
-        ]
-        for step, batch in enumerate(workload.batches):
-            view = views[step + 1]
-            pure_insert = not batch.removed and not (
-                set(batch.added) & set(views[step])
-            )
-            maintained.apply_update(batch.added, batch.removed)
-            fresh = CoverageOracle(view)
-            current = []
-            for i, pattern in enumerate(workload.patterns):
-                got = maintained.cover(pattern)
-                want = fresh.cover(pattern)
-                if got != want:
-                    return Mismatch(
-                        "scov",
-                        "stale_memo",
-                        {
-                            "view": step + 1,
-                            "pattern": i,
-                            "maintained": sorted(got),
-                            "fresh": sorted(want),
-                        },
-                    )
-                current.append(got)
-                if pure_insert and not previous[i] <= got:
-                    return Mismatch(
-                        "scov",
-                        "cover_shrank_on_insert",
-                        {
-                            "view": step + 1,
-                            "pattern": i,
-                            "lost": sorted(previous[i] - got),
-                        },
-                    )
-            previous = current
+    oracle = CoverageOracle(views[0])
+    previous = [oracle.cover(p) for p in workload.patterns]
+    for step, batch in enumerate(workload.batches):
+        pure_insert = not batch.removed and not (
+            set(batch.added) & set(views[step])
+        )
+        oracle = CoverageOracle(views[step + 1])
+        current = [oracle.cover(p) for p in workload.patterns]
+        for i, (before, after) in enumerate(zip(previous, current)):
+            if pure_insert and not before <= after:
+                return Mismatch(
+                    "scov",
+                    "cover_shrank_on_insert",
+                    {
+                        "view": step + 1,
+                        "pattern": i,
+                        "lost": sorted(before - after),
+                    },
+                )
+        previous = current
     return None
 
 
@@ -984,76 +809,70 @@ def _snapshot_signature(snapshot) -> tuple:
 def serve_oracle(workload: Workload) -> Mismatch | None:
     """Published snapshots match a fresh oracle; pinned reads never drift.
 
-    Replays the workload exactly as the serving layer does: one
-    *maintained* CoverageOracle advances through the views via
-    ``apply_update`` and every view publishes one snapshot into a
+    Replays the workload as the serving layer does: every view builds
+    its own CoverageOracle and publishes one snapshot from it into a
     :class:`~repro.serve.snapshot.SnapshotStore`, while a lease pinned
     at each version stays held across all later publishes.  Checks
     (a) each published snapshot's covers / scov / set_scov agree with a
-    fresh per-view CoverageOracle, and (b) no pinned snapshot changes,
-    however many rounds commit after the pin — the snapshot-isolation
-    contract of ``docs/SERVING.md``.
+    second fresh per-view CoverageOracle, and (b) no pinned snapshot
+    changes, however many rounds commit after the pin — the
+    snapshot-isolation contract of ``docs/SERVING.md``.
     """
     store = SnapshotStore()
     views = list(workload.views())
     patterns = list(enumerate(workload.patterns))
     graphs = [pattern for _, pattern in patterns]
-    with use_covindex(False):
-        maintained = CoverageOracle(views[0])
-        pinned: list[tuple] = []
-        for step, view in enumerate(views):
-            if step > 0:
-                batch = workload.batches[step - 1]
-                maintained.apply_update(batch.added, batch.removed)
-            snapshot = store.publish(
-                build_snapshot(
-                    step + 1,
-                    ((i, pattern, "fuzz") for i, pattern in patterns),
-                    maintained,
-                    database_size=len(view),
-                )
+    pinned: list[tuple] = []
+    for step, view in enumerate(views):
+        snapshot = store.publish(
+            build_snapshot(
+                step + 1,
+                ((i, pattern, "fuzz") for i, pattern in patterns),
+                CoverageOracle(view),
+                database_size=len(view),
             )
-            fresh = CoverageOracle(view)
-            for i, pattern in patterns:
-                entry = snapshot.pattern(i)
-                want = fresh.cover(pattern)
-                if entry.cover != want:
-                    return Mismatch(
-                        "serve",
-                        "snapshot_cover_vs_fresh",
-                        {
-                            "view": step,
-                            "pattern": i,
-                            "snapshot": sorted(entry.cover),
-                            "fresh": sorted(want),
-                        },
-                    )
-                if entry.scov != fresh.scov(pattern):
-                    return Mismatch(
-                        "serve",
-                        "snapshot_scov_vs_fresh",
-                        {"view": step, "pattern": i},
-                    )
-            if snapshot.set_scov != fresh.set_scov(graphs):
+        )
+        fresh = CoverageOracle(view)
+        for i, pattern in patterns:
+            entry = snapshot.pattern(i)
+            want = fresh.cover(pattern)
+            if entry.cover != want:
                 return Mismatch(
                     "serve",
-                    "snapshot_set_scov_vs_fresh",
-                    {"view": step},
+                    "snapshot_cover_vs_fresh",
+                    {
+                        "view": step,
+                        "pattern": i,
+                        "snapshot": sorted(entry.cover),
+                        "fresh": sorted(want),
+                    },
                 )
-            pinned.append((store.pin(), step, _snapshot_signature(snapshot)))
-        for lease, step, signature in pinned:
-            drifted = _snapshot_signature(lease.snapshot) != signature
-            lag = lease.release()
-            if drifted:
-                return Mismatch(
-                    "serve", "pinned_snapshot_drifted", {"view": step}
-                )
-            if lease.version != step + 1 or lag != len(views) - (step + 1):
+            if entry.scov != fresh.scov(pattern):
                 return Mismatch(
                     "serve",
-                    "version_accounting",
-                    {"view": step, "version": lease.version, "lag": lag},
+                    "snapshot_scov_vs_fresh",
+                    {"view": step, "pattern": i},
                 )
+        if snapshot.set_scov != fresh.set_scov(graphs):
+            return Mismatch(
+                "serve",
+                "snapshot_set_scov_vs_fresh",
+                {"view": step},
+            )
+        pinned.append((store.pin(), step, _snapshot_signature(snapshot)))
+    for lease, step, signature in pinned:
+        drifted = _snapshot_signature(lease.snapshot) != signature
+        lag = lease.release()
+        if drifted:
+            return Mismatch(
+                "serve", "pinned_snapshot_drifted", {"view": step}
+            )
+        if lease.version != step + 1 or lag != len(views) - (step + 1):
+            return Mismatch(
+                "serve",
+                "version_accounting",
+                {"view": step, "version": lease.version, "lag": lag},
+            )
     return None
 
 
@@ -1063,10 +882,8 @@ def store_oracle(workload: Workload) -> Mismatch | None:
     Drives both :class:`~repro.store.base.GraphStore` backends through
     the same load + batch sequence and compares, after every step: id
     allocation, the applied-update records, every stored graph's
-    canonical serialisation, the SQL-aggregate statistics, and the
-    coverage index the SQLite backend reassembles from its persisted
-    per-shard postings against a from-scratch build over the in-memory
-    view.  Also checks the shared error taxonomy (missing-deletion
+    canonical serialisation and the SQL-aggregate statistics.  Also
+    checks the shared error taxonomy (missing-deletion
     batches fail identically and atomically) and that a close/reopen of
     the SQLite file preserves the trajectory (durability).
     """
@@ -1151,21 +968,6 @@ def store_oracle(workload: Workload) -> Mismatch | None:
                 return Mismatch(
                     "store", "state_divergence", {"step": step}
                 )
-            rebuilt = CoverageIndex.build(dict(mem.items()))
-            if rebuilt != sql.coverage_index():
-                return Mismatch(
-                    "store", "persisted_postings_vs_rebuild", {"step": step}
-                )
-            # The persisted postings are substrate-independent ints:
-            # a plain-int rebuild must reassemble the same index too.
-            if rebuilt != CoverageIndex.build(
-                dict(mem.items()), substrate="int"
-            ):
-                return Mismatch(
-                    "store",
-                    "substrate_rebuild_divergence",
-                    {"step": step},
-                )
         final = signature(sql)
         sql.close()
         sql = SQLiteStore(path)
@@ -1186,8 +988,8 @@ ORACLES: dict[str, Oracle] = {
     for oracle in (
         Oracle(
             "vf2",
-            "VF2 (seeded and unseeded) vs brute-force monomorphism "
-            "enumeration on small graphs",
+            "VF2 containment and embedding counts vs brute-force "
+            "monomorphism enumeration on small graphs",
             vf2_oracle,
             {
                 "num_graphs": 3,
@@ -1199,14 +1001,6 @@ ORACLES: dict[str, Oracle] = {
             },
         ),
         Oracle(
-            "covindex",
-            "coverage engine (filter + delta verification) on both "
-            "bitset substrates vs a fresh full-scan CoverageOracle at "
-            "every view, with cross-substrate snapshot equality",
-            covindex_oracle,
-            {"num_graphs": 5, "num_batches": 2},
-        ),
-        Oracle(
             "cache",
             "canonical-form caches on (cold and warm) vs off",
             cache_oracle,
@@ -1214,14 +1008,13 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "parallel",
-            "2- and 4-worker kernel pools vs the serial loop, with the "
-            "coverage engine off (unseeded) and on (seeded domains)",
+            "2- and 4-worker kernel pools vs the serial loop",
             parallel_oracle,
             {"num_graphs": 4, "num_batches": 1},
         ),
         Oracle(
             "index",
-            "incremental FCT/FCT-IFE/covindex maintenance vs rebuild "
+            "incremental FCT/FCT-IFE maintenance vs rebuild "
             "(bounded-deletion regime)",
             index_oracle,
             {
@@ -1235,7 +1028,7 @@ ORACLES: dict[str, Oracle] = {
             "prune",
             "promising-candidate test (marginal hosts only, early "
             "exits) vs literal Definition 5.5 on fresh full covers, "
-            "with and without an IndexPair and the coverage engine",
+            "with and without an IndexPair",
             prune_oracle,
             {
                 "num_graphs": 6,
@@ -1280,8 +1073,7 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "scov",
-            "maintained oracle vs fresh oracle after updates; covers "
-            "monotone under pure insertion",
+            "covers monotone under pure insertion",
             scov_oracle,
             {"insert_only": True, "num_batches": 3},
         ),
@@ -1295,8 +1087,7 @@ ORACLES: dict[str, Oracle] = {
         Oracle(
             "store",
             "SQLite out-of-core store vs the in-memory store: identical "
-            "id allocation, batch results, stats, persisted postings "
-            "(reassembled on either substrate) and reopen durability",
+            "id allocation, batch results, stats and reopen durability",
             store_oracle,
             {"num_graphs": 5, "num_batches": 3},
         ),

@@ -6,7 +6,7 @@ Usage::
     python -m repro bench --figure fig12      # regenerate one paper figure
     python -m repro bench --all               # regenerate every figure
     python -m repro dataset --profile aids --count 100 --out db.json
-    python -m repro check --oracle covindex --seed 7 --budget 50
+    python -m repro check --oracle prune --seed 7 --budget 50
     python -m repro check --replay artifact.json
     python -m repro serve --port 8373         # the pattern-serving service
     python -m repro serve --smoke             # CI gate: hit every endpoint
@@ -40,7 +40,6 @@ from .obs import (
 from .execution import ExecutionConfig
 from .bench.experiments import (
     ablations,
-    covix,
     fig09,
     fig10,
     fig11,
@@ -67,7 +66,6 @@ FIGURES = {
     "abl3": ("Ablation 3 — GFD distances", ablations.run_distance_measures),
     "abl4": ("Ablation 4 — walks vs FSM", ablations.run_walks_vs_fsm),
     "perf": ("Perf — parallel determinism + cache speedup", perf.run),
-    "covix": ("Covix — coverage engine equivalence + VF2 reduction", covix.run),
     "store": (
         "Store — out-of-core SQLite backend vs in-memory",
         store_experiment.run,
@@ -150,7 +148,6 @@ def _execution_from_args(
     return ExecutionConfig(
         workers=getattr(args, "workers", 1),
         cache=getattr(args, "cache", "off") == "on",
-        covindex=getattr(args, "covindex", "off") == "on",
         check=getattr(args, "check", "off") == "on",
         deadline_ms=deadline_ms,
         degrade=getattr(args, "degrade", "on") != "off",
@@ -616,15 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="off",
             help="'on' memoises GED / embedding / graphlet results under "
             "canonical-form keys (see docs/PERFORMANCE.md)",
-        )
-        sub.add_argument(
-            "--covindex",
-            choices=("on", "off"),
-            default="off",
-            help="'on' enables the filter-then-verify coverage engine: "
-            "posting-list candidate filtering + incremental cover "
-            "maintenance; results are identical either way (see "
-            "docs/PERFORMANCE.md)",
         )
         sub.add_argument(
             "--check",

@@ -3,8 +3,8 @@
 :class:`ExecutionConfig` is the one knob bundle that every entry point
 accepts — ``repro.api.select`` / ``repro.api.maintain``, the pipeline
 and maintainer configs (``CatapultConfig.execution``), and the CLI
-(``--workers``, ``--cache``, ``--covindex``, ``--check``,
-``--deadline-ms``, ``--degrade``, ``--store``).  It
+(``--workers``, ``--cache``, ``--check``, ``--deadline-ms``,
+``--degrade``, ``--store``).  It
 replaces the per-call resilience kwargs that had accreted on individual
 signatures.
 
@@ -34,16 +34,10 @@ class ExecutionConfig:
         Worker processes for the kernel pool; ``1`` = serial.
     cache:
         Enable the canonical-form result caches (:mod:`repro.cache`).
-    covindex:
-        Enable the filter-then-verify coverage engine
-        (:mod:`repro.covindex`): posting-list candidate filtering, VF2
-        domain seeding and incremental cover maintenance.  Results are
-        identical with the engine on or off.
     check:
-        Arm the runtime invariant guards (:mod:`repro.check`): bitset
-        and posting-list consistency in the coverage engine, cache
-        fidelity monotonicity, pattern-budget bounds after maintenance
-        rounds.  A failed guard raises
+        Arm the runtime invariant guards (:mod:`repro.check`): cache
+        fidelity monotonicity and pattern-budget bounds after
+        maintenance rounds.  A failed guard raises
         :class:`~repro.exceptions.InvariantViolation`, which a
         transactional round maps to a rollback.
     deadline_ms:
@@ -61,7 +55,6 @@ class ExecutionConfig:
 
     workers: int = 1
     cache: bool = False
-    covindex: bool = False
     check: bool = False
     deadline_ms: float | None = None
     degrade: bool = True
@@ -78,7 +71,6 @@ class ExecutionConfig:
         """Install this policy (pool, caches, budget, degradation) ambiently."""
         from .cache.stores import use_caching
         from .check.invariants import use_check
-        from .covindex.engine import use_covindex
         from .parallel.pool import shared_pool, use_pool
         from .resilience.budget import Deadline, use_budget
         from .resilience.degrade import degradation_enabled, set_degradation
@@ -91,8 +83,6 @@ class ExecutionConfig:
                 stack.enter_context(use_pool(shared_pool(self.workers)))
             if self.cache:
                 stack.enter_context(use_caching(True))
-            if self.covindex:
-                stack.enter_context(use_covindex(True))
             if self.check:
                 stack.enter_context(use_check(True))
             if not self.degrade and degradation_enabled():

@@ -8,11 +8,10 @@ from .matcher import (
     find_embedding,
     find_embeddings,
 )
-from .vf2 import Assignment, Domains, VF2Matcher
+from .vf2 import Assignment, VF2Matcher
 
 __all__ = [
     "Assignment",
-    "Domains",
     "VF2Matcher",
     "contains",
     "count_embeddings",

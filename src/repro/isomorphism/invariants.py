@@ -6,8 +6,7 @@ host have enough vertices/edges, does its vertex-label multiset dominate
 the pattern's, does its edge-label multiset dominate the pattern's?
 Historically :class:`~repro.isomorphism.vf2.VF2Matcher` and the FCT/IFE
 index prefilters each reimplemented these checks; this module is the one
-shared implementation, also consumed by the filter-then-verify coverage
-engine (:mod:`repro.covindex`).
+shared implementation.
 
 All helpers express *necessary* conditions for a monomorphism (and a
 fortiori for an induced embedding): a ``False`` answer proves

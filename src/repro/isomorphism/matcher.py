@@ -16,24 +16,16 @@ from collections.abc import Iterable
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
-from .vf2 import Assignment, Domains, VF2Matcher
+from .vf2 import Assignment, VF2Matcher
 
 
 def contains(
     host: LabeledGraph,
     pattern: LabeledGraph,
     induced: bool = False,
-    domains: Domains | None = None,
 ) -> bool:
-    """True iff *host* has a subgraph isomorphic to *pattern*.
-
-    *domains* optionally seeds the matcher with precomputed candidate
-    domains (see :class:`VF2Matcher`); the verdict is unchanged, only
-    the search tree shrinks.
-    """
-    return VF2Matcher(
-        pattern, host, induced=induced, domains=domains
-    ).has_match()
+    """True iff *host* has a subgraph isomorphic to *pattern*."""
+    return VF2Matcher(pattern, host, induced=induced).has_match()
 
 
 def find_embedding(

@@ -12,10 +12,7 @@ with:
 * existence tests, match iteration and embedding counting,
 * an inexpensive invariant prefilter (label multisets, degree sequences)
   that resolves most negative queries without search — shared with the
-  index layers via :mod:`repro.isomorphism.invariants`,
-* optional precomputed **candidate domains** (pattern vertex → admissible
-  host vertices) that seed the search with the signature-based pruning of
-  the coverage engine (:mod:`repro.covindex`).
+  index layers via :mod:`repro.isomorphism.invariants`.
 
 Monomorphism is the semantics of "query graph contains pattern" in visual
 query formulation: dragging a canned pattern onto the canvas contributes
@@ -24,7 +21,7 @@ its vertices and edges, and the query may add more edges between them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Set
+from collections.abc import Callable, Iterator
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
 from ..obs import BoundCounter
@@ -33,10 +30,6 @@ from ..resilience.faults import trip
 from .invariants import invariant_prefilter
 
 Assignment = dict[VertexId, VertexId]
-
-#: Candidate domains: pattern vertex → host vertices it may map to.
-#: Vertices absent from the mapping are unrestricted.
-Domains = Mapping[VertexId, Set[VertexId]]
 
 # Match counters, resolved once rather than by name on every match.
 _CALLS = BoundCounter("vf2.calls")
@@ -60,12 +53,6 @@ class VF2Matcher:
     node_match:
         Optional custom predicate ``(pattern_label, host_label) -> bool``;
         defaults to label equality.
-    domains:
-        Optional precomputed candidate domains (pattern vertex → set of
-        admissible host vertices), e.g. the per-vertex signature domains
-        of the :mod:`repro.covindex` engine.  Domains must be *sound*
-        (never exclude a host vertex that participates in an embedding);
-        they shrink the search tree without changing any result.
     """
 
     def __init__(
@@ -74,13 +61,11 @@ class VF2Matcher:
         host: LabeledGraph,
         induced: bool = False,
         node_match: Callable[[str, str], bool] | None = None,
-        domains: Domains | None = None,
     ) -> None:
         self.pattern = pattern
         self.host = host
         self.induced = induced
         self._node_match = node_match or (lambda a, b: a == b)
-        self._domains = domains
         self._order: list[VertexId] | None = None
 
     # ------------------------------------------------------------------
@@ -120,14 +105,7 @@ class VF2Matcher:
     def _prefilter(self) -> bool:
         """Cheap necessary conditions for a match to exist."""
         _CALLS.add(1)
-        if not invariant_prefilter(self.pattern, self.host):
-            return False
-        if self._domains is not None:
-            for vertex in self.pattern.vertices():
-                domain = self._domains.get(vertex)
-                if domain is not None and not domain:
-                    return False
-        return True
+        return invariant_prefilter(self.pattern, self.host)
 
     @property
     def order(self) -> list[VertexId]:
@@ -174,11 +152,6 @@ class VF2Matcher:
         """Candidate host vertices for *pattern_vertex* given partial map."""
         host_adj = self.host._adj
         host_labels = self.host._labels
-        domain = (
-            self._domains.get(pattern_vertex)
-            if self._domains is not None
-            else None
-        )
         mapped_neighbors = [
             n for n in self.pattern._adj[pattern_vertex] if n in mapping
         ]
@@ -188,10 +161,6 @@ class VF2Matcher:
             candidate_pool = set(host_adj[first])
             for other in mapped_neighbors[1:]:
                 candidate_pool &= host_adj[mapping[other]]
-            if domain is not None:
-                candidate_pool &= set(domain)
-        elif domain is not None:
-            candidate_pool = set(domain)
         else:
             # Built from an iterator, not the dict itself: set(dict)
             # presizes its table, which changes the iteration order.

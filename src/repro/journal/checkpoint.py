@@ -43,6 +43,35 @@ CHECKPOINT_RETENTION = 2
 _FRAME_HEADER = struct.Struct(">II")
 
 
+class _Retired:
+    """Stand-in for objects of a module that no longer exists.
+
+    Accepts any constructor arguments and any pickled state, and keeps
+    none of it; the reviving owner drops the attribute that held it.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Revives checkpoints written by earlier versions of the package.
+
+    Maintainers checkpointed with the coverage engine on
+    (``repro.covindex``, since deleted) pickle it inside their
+    :class:`~repro.patterns.metrics.CoverageOracle`; its globals load as
+    :class:`_Retired` and the oracle discards the engine on revival.
+    """
+
+    def find_class(self, module: str, name: str):
+        if module == "repro.covindex" or module.startswith("repro.covindex."):
+            return _Retired
+        return super().find_class(module, name)
+
+
 @dataclass
 class Checkpoint:
     """One loaded checkpoint: metadata plus the revived maintainer."""
@@ -128,7 +157,7 @@ def _load_one(path: Path) -> Checkpoint:
         zlib.crc32(state) != meta["state_crc"]
     ):
         raise JournalError(f"checkpoint {path.name} state fails its CRC")
-    midas = pickle.loads(state)
+    midas = _CheckpointUnpickler(io.BytesIO(state)).load()
     return Checkpoint(
         checkpoint_id=meta["checkpoint_id"],
         version=meta["version"],

@@ -83,30 +83,28 @@ def verify_head_against_fresh_oracle(head, midas) -> list[str]:
     and compares against the rebuilt head snapshot.  Returns mismatch
     descriptions (empty = clean).
     """
-    from ..covindex.engine import use_covindex
     from ..patterns.metrics import CoverageOracle
 
     failures: list[str] = []
-    with use_covindex(False):
-        view = {
-            graph_id: midas.database[graph_id]
-            for graph_id in midas.oracle.graph_ids()
-        }
-        fresh = CoverageOracle(view)
-        graphs = [entry.graph for entry in head.patterns]
-        for entry in head.patterns:
-            want = fresh.cover(entry.graph)
-            if entry.cover != want:
-                failures.append(
-                    f"pattern {entry.pattern_id}: recovered cover "
-                    f"{sorted(entry.cover)} != fresh {sorted(want)}"
-                )
-            if entry.scov != fresh.scov(entry.graph):
-                failures.append(
-                    f"pattern {entry.pattern_id}: recovered scov drifted"
-                )
-        if head.set_scov != fresh.set_scov(graphs):
-            failures.append("recovered set_scov drifted from fresh oracle")
+    view = {
+        graph_id: midas.database[graph_id]
+        for graph_id in midas.oracle.graph_ids()
+    }
+    fresh = CoverageOracle(view)
+    graphs = [entry.graph for entry in head.patterns]
+    for entry in head.patterns:
+        want = fresh.cover(entry.graph)
+        if entry.cover != want:
+            failures.append(
+                f"pattern {entry.pattern_id}: recovered cover "
+                f"{sorted(entry.cover)} != fresh {sorted(want)}"
+            )
+        if entry.scov != fresh.scov(entry.graph):
+            failures.append(
+                f"pattern {entry.pattern_id}: recovered scov drifted"
+            )
+    if head.set_scov != fresh.set_scov(graphs):
+        failures.append("recovered set_scov drifted from fresh oracle")
     return failures
 
 

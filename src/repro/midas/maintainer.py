@@ -405,28 +405,14 @@ class Midas:
         trip("midas.sample")
         budget_check("midas.sample")
         with span("sample"):
-            previous_ids = self.oracle.graph_ids()
             self.sampler.remove_ids(removed_ids)
             self.sampler.add_ids(record.inserted_ids)
             sample_graphs = {
                 gid: graphs[gid] for gid in self.sampler.sample_ids
             }
-            sample_ids = set(sample_graphs)
-            if self.oracle.delta_capable:
-                # Coverage-engine oracle: reconcile the view in place so
-                # verdicts for unchanged sample graphs survive the round
-                # and only the sample delta is ever re-verified.
-                self.oracle.apply_update(
-                    {
-                        gid: sample_graphs[gid]
-                        for gid in sample_ids - previous_ids
-                    },
-                    previous_ids - sample_ids,
-                )
-            else:
-                self.oracle = CoverageOracle(
-                    sample_graphs, index_pair=self.index_pair
-                )
+            self.oracle = CoverageOracle(
+                sample_graphs, index_pair=self.index_pair
+            )
 
         swap_outcome: SwapOutcome | None = None
         candidates_generated = 0

@@ -283,7 +283,7 @@ class BoundCounter:
     Re-resolves when the default registry is swapped
     (:func:`set_registry`) or cleared (:meth:`MetricsRegistry.clear`),
     so it always counts into the counter a by-name lookup would return.
-    Module-level instances suit hot loops (VF2, covindex filtering).
+    Module-level instances suit hot loops (VF2 matching).
     """
 
     __slots__ = ("name", "_registry", "_generation", "_counter")

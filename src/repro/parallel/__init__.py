@@ -14,7 +14,6 @@ from .kernels import (
     ged_pairs_kernel,
     mccs_kernel,
     pairwise_ged_matrix,
-    shard_postings_kernel,
 )
 from .pool import (
     CHUNKS_PER_WORKER,
@@ -49,7 +48,6 @@ __all__ = [
     "publish_view",
     "resolve_view",
     "retire_view",
-    "shard_postings_kernel",
     "shared_pool",
     "shutdown_shared_pools",
     "use_pool",

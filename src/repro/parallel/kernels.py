@@ -35,14 +35,12 @@ def ged_pairs_kernel(payload, chunk):
 
 
 def contains_view_kernel(payload, chunk):
-    """``chunk``: ``(graph_id, domains)`` pairs; payload: the view handle.
+    """``chunk``: graph IDs; payload: the view handle.
 
     Returns one containment verdict (pattern ⊆ host) per item.  The
     payload is ``(view_id, generation, pattern)`` and hosts are looked
     up in the fork-inherited :mod:`repro.parallel.shared` registry, so
-    a fan-out ships only graph IDs + seed domains — never the host
-    graphs themselves.  ``domains`` may be None (unseeded verification);
-    seeded domains are sound, so verdicts equal the unseeded ones.
+    a fan-out ships only graph IDs — never the host graphs themselves.
     A worker whose inherited view is missing or at the wrong generation
     raises rather than answering from stale graphs; the pool's
     epoch-stamped refork makes that unreachable in normal operation.
@@ -52,10 +50,7 @@ def contains_view_kernel(payload, chunk):
 
     view_id, generation, pattern = payload
     graphs = resolve_view(view_id, generation).graphs
-    return [
-        contains(graphs[graph_id], pattern, domains=domains)
-        for graph_id, domains in chunk
-    ]
+    return [contains(graphs[graph_id], pattern) for graph_id in chunk]
 
 
 def mccs_kernel(payload, chunk):
@@ -88,32 +83,6 @@ def candidate_score_kernel(payload, chunk):
         )
         for graph in chunk
     ]
-
-
-def shard_postings_kernel(payload, chunk):
-    """``chunk``: list of ``(shard, ((graph_id, graph), ...))`` items.
-
-    Returns one ``(shard, posting_delta, keys_by_graph)`` triple per
-    item: the covindex posting-bitset delta and the per-graph invariant
-    keys of that shard's member graphs.  Used by the SQLite store to fan
-    a large insert batch out per shard; the ordered reduction makes the
-    merged deltas identical to the serial loop at any worker count.
-    """
-    from ..covindex.index import graph_posting_keys
-
-    del payload
-    results = []
-    for shard, members in chunk:
-        posting_delta: dict = {}
-        keys_by_graph: dict = {}
-        for graph_id, graph in members:
-            keys = graph_posting_keys(graph)
-            keys_by_graph[graph_id] = sorted(keys)
-            bit = 1 << graph_id
-            for key in keys:
-                posting_delta[key] = posting_delta.get(key, 0) | bit
-        results.append((shard, posting_delta, keys_by_graph))
-    return results
 
 
 def pairwise_ged_matrix(
@@ -151,5 +120,4 @@ __all__ = [
     "ged_pairs_kernel",
     "mccs_kernel",
     "pairwise_ged_matrix",
-    "shard_postings_kernel",
 ]

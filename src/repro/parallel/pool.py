@@ -35,8 +35,8 @@ configuration, not once per batch.  Fork children inherit module
 globals at creation time — that is what lets fault-injection plans
 (:mod:`repro.resilience.faults`) keep firing at kernel sites inside
 workers, and what lets :mod:`repro.parallel.shared` hand kernels whole
-host-graph views without pickling them (tasks carry only graph IDs +
-seed domains).  Because children see a frozen copy of the parent,
+host-graph views without pickling them (tasks carry only graph IDs).
+Because children see a frozen copy of the parent,
 the pool stamps the :func:`~repro.parallel.shared.view_epoch` it forked
 at and transparently restarts its workers when a view has been
 republished since (``parallel.worker_restarts``) — once per committed
@@ -45,7 +45,7 @@ batch, not per fan-out.
 Each task is shipped as one pre-pickled envelope and its size recorded
 under ``parallel.bytes_pickled``, making "fan-out no longer re-pickles
 the hosts" a measurable, regression-gated property rather than a hope
-(see the covix bench figure).
+(see ``tests/test_parallel.py``).
 
 Observability counters incremented inside workers stay in the worker's
 registry copy; the parent records fan-out activity under ``parallel.*``

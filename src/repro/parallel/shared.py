@@ -9,8 +9,7 @@ zero-copy alternative on fork platforms:
    into this module's process-global registry (:func:`publish_view`).
 2. Forked workers inherit the registry (copy-on-write pages, no
    pickling); a kernel resolves its graphs by ``(view_id, generation)``
-   with :func:`resolve_view` and receives only graph IDs + seed
-   domains per task.
+   with :func:`resolve_view` and receives only graph IDs per task.
 3. After a committed batch mutates the view, the owner republishes it:
    the view's **generation** counter advances and the module-wide
    **epoch** advances with it.  The pool compares the epoch it forked

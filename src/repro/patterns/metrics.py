@@ -16,7 +16,8 @@ Implements every measure of Sections 2.2 and 6.1:
 :class:`CoverageOracle` is the workhorse: it memoises the cover set of
 each pattern (by canonical key) over a fixed sample of the database,
 optionally routing through the FCT/IFE containment prefilter so repeated
-swap evaluations stay cheap.
+swap evaluations stay cheap.  An oracle's view is fixed at construction:
+a database batch gets a fresh oracle over the new view.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import weakref
 from collections.abc import Iterable, Mapping, Set
 
 from ..cache.stores import cached_ged_value, caching_enabled, get_caches
-from ..covindex.engine import CoverageEngine, covindex_enabled
 from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..index.maintenance import IndexPair
@@ -91,27 +91,15 @@ class CoverageOracle:
     index_pair:
         Optional FCT/IFE indices; when provided, containment checks only
         run on graphs surviving the count prefilter (Section 6.1).
-    engine:
-        Optional :class:`~repro.covindex.engine.CoverageEngine` over the
-        same view.  When attached (or auto-built because the ambient
-        ``covindex`` toggle is on), cover queries route through its
-        posting-list filter and VF2 domain seeding instead of the
-        FCT/IFE prefilter, and :meth:`apply_update` maintains verdicts
-        incrementally.  Cover sets are identical either way — the filter
-        only skips hosts proven not to match.
     """
 
     def __init__(
         self,
         graphs: Mapping[int, LabeledGraph],
         index_pair: IndexPair | None = None,
-        engine: CoverageEngine | None = None,
     ) -> None:
         self._graphs = dict(graphs)
         self._index_pair = index_pair
-        if engine is None and covindex_enabled():
-            engine = CoverageEngine(self._graphs)
-        self._engine = engine
         self._cover_cache: dict[tuple, frozenset[int]] = {}
         self._lcov_cache: dict[tuple, frozenset[int]] = {}
         # Token of this oracle's published host view (repro.parallel.shared),
@@ -130,50 +118,19 @@ class CoverageOracle:
         state["_view_token"] = None
         return state
 
+    def __setstate__(self, state):
+        # Checkpoints written with the retired coverage engine switched
+        # on carry it as ``_engine``; its covers equal the full scan's,
+        # so the memo tables stay valid and the engine is dropped.
+        state.pop("_engine", None)
+        self.__dict__.update(state)
+
     @property
     def universe_size(self) -> int:
         return len(self._graphs)
 
-    @property
-    def delta_capable(self) -> bool:
-        """Whether :meth:`apply_update` preserves per-graph verdicts."""
-        return self._engine is not None
-
     def graph_ids(self) -> set[int]:
         return set(self._graphs)
-
-    # ------------------------------------------------------------------
-    # incremental maintenance
-    # ------------------------------------------------------------------
-    def apply_update(
-        self,
-        added: Mapping[int, LabeledGraph],
-        removed_ids: Iterable[int],
-    ) -> None:
-        """Reconcile the oracle's view with a database batch in place.
-
-        The memo tables key by pattern certificate but their *values*
-        are graph-id sets over the old view, so every entry is stale
-        the moment the view changes — both tables are dropped
-        unconditionally (this was silently wrong before: a deleted
-        graph stayed in cached cover sets and ``scov`` never moved).
-        With an engine attached the per-graph verdicts survive inside
-        its bitsets, so the next :meth:`cover` call re-verifies only
-        the filtered delta instead of the whole view.
-        """
-        removed = [gid for gid in removed_ids if gid in self._graphs]
-        for graph_id in removed:
-            del self._graphs[graph_id]
-        for graph_id, graph in added.items():
-            self._graphs[graph_id] = graph
-        if self._engine is not None:
-            self._engine.apply_update(added, removed)
-        if self._view_token is not None:
-            # Republish under the same token: the generation bump is what
-            # invalidates persistent workers holding the pre-batch view.
-            shared.publish_view(self._graphs, view_id=self._view_token)
-        self._cover_cache.clear()
-        self._lcov_cache.clear()
 
     # ------------------------------------------------------------------
     def cover(self, pattern: LabeledGraph) -> frozenset[int]:
@@ -190,10 +147,7 @@ class CoverageOracle:
         cached = self._cover_cache.get(key)
         if cached is not None:
             return cached
-        if self._engine is not None:
-            result = self._engine_cover(key, pattern)
-        else:
-            result = self._scan_cover(pattern)
+        result = self._scan_cover(pattern)
         self._cover_cache[key] = result
         return result
 
@@ -209,30 +163,16 @@ class CoverageOracle:
         only the hosts outside *excluded* can contribute, so VF2 runs
         on those alone, in ascending id order, and stops as soon as the
         answer is decided: once the hits reach *threshold*, or once the
-        hits plus the hosts still untested fall short of it.  With an
-        engine attached, its known verdicts count first, only residual
-        hosts its filter cannot decide are verified (seeded with its
-        domains), and each verdict is committed to it.  Partial verdicts
-        feed the embedding cache and ``isomorphism_tests`` but never the
-        cover memo, which holds only complete covers.
+        hits plus the hosts still untested fall short of it.  Partial
+        verdicts feed the embedding cache and ``isomorphism_tests`` but
+        never the cover memo, which holds only complete covers.
         """
         key = canonical_certificate(pattern)
         cover = self._cover_cache.get(key)
         if cover is not None:
             return len(cover - excluded) >= threshold
-        engine = self._engine
-        if engine is not None:
-            engine.register(key, pattern)
-            pattern = engine.pattern(key)
-            residual = [
-                gid for gid in engine.pending(key) if gid not in excluded
-            ]
-            hits = len(engine.cover_ids(key) - excluded)
-        else:
-            residual = sorted(
-                gid for gid in self._graphs if gid not in excluded
-            )
-            hits = 0
+        residual = sorted(gid for gid in self._graphs if gid not in excluded)
+        hits = 0
         caches = get_caches() if caching_enabled() else None
         untested = len(residual)
         for graph_id in residual:
@@ -245,19 +185,12 @@ class CoverageOracle:
                     pattern, self._graphs[graph_id]
                 )
             if verdict is None:
-                domains = (
-                    None
-                    if engine is None
-                    else {graph_id: engine.vertex_domains(key, graph_id)}
-                )
-                verdict = self._verify(pattern, [graph_id], domains)[0]
-            if engine is not None:
-                engine.commit(key, graph_id, verdict)
+                verdict = self._verify(pattern, [graph_id])[0]
             hits += verdict
         return hits >= threshold
 
     def _scan_cover(self, pattern: LabeledGraph) -> frozenset[int]:
-        """The unfiltered path: FCT/IFE prefilter + full verification."""
+        """FCT/IFE prefilter (when indexed) + full verification."""
         if self._index_pair is not None:
             candidates = self._index_pair.candidate_graphs(
                 pattern, self._graphs
@@ -283,55 +216,14 @@ class CoverageOracle:
                 covered.add(graph_id)
         return frozenset(covered)
 
-    def _engine_cover(
-        self, key: tuple, pattern: LabeledGraph
-    ) -> frozenset[int]:
-        """The engine path: posting-list filter + lazy delta verification.
-
-        Only graphs whose verdict is unknown (fresh view, or inserted
-        since the last query of this pattern) reach verification, and
-        each verification is seeded with the engine's vertex domains.
-
-        Verification runs on the engine's *stored* pattern for *key*,
-        not the caller's object: isomorphic patterns share the canonical
-        key but may permute vertex IDs, and the seeded domains are keyed
-        by the stored pattern's vertex IDs.  The verdicts (and the
-        embedding-cache keys, which are canonical) are identical either
-        way.
-        """
-        engine = self._engine
-        engine.register(key, pattern)
-        pattern = engine.pattern(key)
-        pending = engine.pending(key)
-        caches = get_caches() if caching_enabled() else None
-        unresolved: list[int] = []
-        for graph_id in pending:
-            if caches is not None:
-                verdict = caches.embeddings.get_contains(
-                    pattern, self._graphs[graph_id]
-                )
-                if verdict is not None:
-                    engine.commit(key, graph_id, verdict)
-                    continue
-            unresolved.append(graph_id)
-        domains = {
-            graph_id: engine.vertex_domains(key, graph_id)
-            for graph_id in unresolved
-        }
-        verdicts = self._verify(pattern, unresolved, domains)
-        for graph_id, verdict in zip(unresolved, verdicts):
-            engine.commit(key, graph_id, verdict)
-        return engine.cover_ids(key)
-
     def _host_view(self) -> shared.HostView:
         """This oracle's live published host view (publish on first use).
 
-        Parallel verification ships only ``(graph_id, domains)`` pairs;
-        workers resolve the graphs from the fork-inherited view this
-        returns.  The token is allocated once and retired when the
-        oracle is garbage-collected; :meth:`apply_update` republishes
-        under the same token so stale workers are invalidated by the
-        generation/epoch bump.
+        Parallel verification ships only graph IDs; workers resolve the
+        graphs from the fork-inherited view this returns.  The token is
+        allocated once and retired when the oracle is garbage-collected;
+        a fresh oracle publishes a new view, and the epoch bump restarts
+        workers forked before it.
         """
         if self._view_token is not None:
             view = shared.get_view(self._view_token)
@@ -347,7 +239,6 @@ class CoverageOracle:
         self,
         pattern: LabeledGraph,
         pending: list[int],
-        domains: Mapping[int, Mapping] | None = None,
     ) -> list[bool]:
         """Run VF2 on *pending* hosts (pool fan-out when worthwhile).
 
@@ -361,22 +252,12 @@ class CoverageOracle:
             view = self._host_view()
             verdicts = pool.map(
                 contains_view_kernel,
-                [
-                    (
-                        graph_id,
-                        None if domains is None else domains[graph_id],
-                    )
-                    for graph_id in pending
-                ],
+                pending,
                 payload=(view.view_id, view.generation, pattern),
             )
         else:
             verdicts = [
-                contains(
-                    self._graphs[graph_id],
-                    pattern,
-                    domains=None if domains is None else domains[graph_id],
-                )
+                contains(self._graphs[graph_id], pattern)
                 for graph_id in pending
             ]
         self.isomorphism_tests += len(pending)

@@ -8,8 +8,7 @@ The storage layer's public surface:
   spec that ``ExecutionConfig(store=...)`` installs;
 * :mod:`repro.store.sqlite` — :class:`SQLiteStore`, the out-of-core
   backend: lazy graph hydration behind a bounded hot-graph cache,
-  per-shard persisted covindex postings and verdict bitsets, and batch
-  journaling through :mod:`repro.journal`'s framing/torn-tail/replay
+  SQL-aggregate statistics, and batch journaling through :mod:`repro.journal`'s framing/torn-tail/replay
   machinery;
 * the in-memory reference implementation is
   :class:`~repro.graph.database.GraphDatabase` (re-exported here as

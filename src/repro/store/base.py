@@ -1,9 +1,9 @@
 """The :class:`GraphStore` contract and the ``open_store`` factory.
 
-Every place the reproduction holds "the database" — the maintainer, the
-coverage engine, the serving service, the CLI — talks to a
-:class:`GraphStore`, not to a concrete container.  The contract is the
-behaviour :class:`~repro.graph.database.GraphDatabase` always had:
+Every place the reproduction holds "the database" — the maintainer,
+the serving service, the CLI — talks to a :class:`GraphStore`, not to
+a concrete container.  The contract is the behaviour
+:class:`~repro.graph.database.GraphDatabase` always had:
 
 * **container protocol** — ``len(store)``, ``id in store``,
   ``store[id]`` (:class:`~repro.graph.database.DatabaseError` on a
@@ -247,7 +247,7 @@ def open_store(
     ================================  ====================================
 
     Keyword *options* are forwarded to the backend constructor (for
-    SQLite: ``journal_dir``, ``cache_size``, ``num_shards``, ``fsync``).
+    SQLite: ``journal_dir``, ``cache_size``, ``fsync``).
     """
     if isinstance(spec, GraphStore):
         return spec

@@ -8,19 +8,8 @@ back the maintenance/serving machinery:
   of :func:`repro.graph.io.graph_to_dict` (vertex ids normalised to
   ``0..n-1``, exactly like the dataset file format) and hydrated on
   access through a bounded LRU hot-graph cache;
-* **per-shard persisted covindex state** — each graph hashes to a shard
-  (``id % num_shards``); the invariant posting lists of
-  :mod:`repro.covindex.index` and the engine's verdict bitsets are
-  maintained as per-shard bitset rows, so :meth:`coverage_index`
-  rebuilds a :class:`~repro.covindex.index.CoverageIndex` from disk
-  without re-deriving a single invariant, and a verified pattern's
-  verdicts survive a restart (:meth:`save_verdicts` /
-  :meth:`load_verdicts`);
-* **shard-parallel maintenance** — a large batch fans its per-shard
-  posting deltas through the ambient
-  :class:`~repro.parallel.pool.KernelPool`
-  (:func:`~repro.parallel.kernels.shard_postings_kernel`) with ordered
-  reduction, so results are byte-identical at any worker count;
+* **SQL-aggregate statistics** — vertex/edge totals and label alphabets
+  come from per-row columns, without hydrating a graph;
 * **batch journaling** — every ``apply`` is framed through
   :class:`repro.journal.segments.Journal` (same CRC framing, torn-tail
   truncation and fsync policies as the serving WAL): a ``submitted``
@@ -52,13 +41,10 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from pathlib import Path
 
-from ..covindex.bitset import bits_of
-from ..covindex.index import CoverageIndex, graph_posting_keys
 from ..graph.database import AppliedUpdate, BatchUpdate, DatabaseError
 from ..graph.io import graph_from_dict, graph_to_dict
 from ..graph.labeled_graph import LabeledGraph
 from ..obs import get_registry
-from ..parallel.pool import current_pool
 from .base import GraphStore
 
 FORMAT_TAG = "repro-store-v1"
@@ -66,9 +52,10 @@ FORMAT_TAG = "repro-store-v1"
 #: Default bound on the hot-graph hydration cache (graphs, not bytes).
 DEFAULT_CACHE_SIZE = 512
 
-#: Default shard count for persisted postings / verdicts.
-DEFAULT_NUM_SHARDS = 8
-
+# ``graphs.shard`` is no longer read; new rows store 0.  The column
+# stays so files written by earlier versions, where it is NOT NULL,
+# keep accepting inserts.  Their ``graph_keys``/``postings``/``verdicts``
+# tables and ``num_shards`` meta row are left in place, unread.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -84,49 +71,7 @@ CREATE TABLE IF NOT EXISTS graphs (
     vlabels TEXT NOT NULL,
     elabels TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS graphs_shard ON graphs (shard);
-CREATE TABLE IF NOT EXISTS graph_keys (
-    id INTEGER PRIMARY KEY,
-    keys TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS postings (
-    shard INTEGER NOT NULL,
-    key TEXT NOT NULL,
-    bits BLOB NOT NULL,
-    PRIMARY KEY (shard, key)
-);
-CREATE TABLE IF NOT EXISTS verdicts (
-    shard INTEGER NOT NULL,
-    pattern TEXT NOT NULL,
-    match_bits BLOB NOT NULL,
-    seen_bits BLOB NOT NULL,
-    PRIMARY KEY (shard, pattern)
-);
 """
-
-
-def _tuplify(value):
-    """Recursively turn JSON arrays back into the tuples keys are made
-    of (edge-label keys nest pairs: ``("el", ("C", "O"), 1)``)."""
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value
-
-
-def _key_to_text(key: tuple) -> str:
-    return json.dumps(key, separators=(",", ":"))
-
-
-def _key_from_text(text: str) -> tuple:
-    return _tuplify(json.loads(text))
-
-
-def _bits_to_blob(bits: int) -> bytes:
-    return bits.to_bytes((bits.bit_length() + 7) // 8 or 1, "little")
-
-
-def _blob_to_bits(blob: bytes) -> int:
-    return int.from_bytes(blob, "little")
 
 
 class SQLiteStore(GraphStore):
@@ -139,13 +84,10 @@ class SQLiteStore(GraphStore):
         journal_dir: str | Path | None = None,
         journaled: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        num_shards: int = DEFAULT_NUM_SHARDS,
         fsync: str = "always",
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         self.path = str(path)
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
@@ -154,7 +96,6 @@ class SQLiteStore(GraphStore):
         self._round_pending: list[int] = []
         self._cache: OrderedDict[int, LabeledGraph] = OrderedDict()
         self._cache_size = cache_size
-        self._shard_masks: dict[int, int] = {}
         self._connection = sqlite3.connect(
             self.path, isolation_level=None, check_same_thread=False
         )
@@ -165,12 +106,10 @@ class SQLiteStore(GraphStore):
             self._set_meta("format", FORMAT_TAG)
             self._set_meta("next_id", "0")
             self._set_meta("last_applied_update", "-1")
-            self._set_meta("num_shards", str(num_shards))
         elif stored != FORMAT_TAG:
             raise DatabaseError(
                 f"{self.path}: unsupported store format {stored!r}"
             )
-        self.num_shards = int(self._meta("num_shards"))
         self._next_id = int(self._meta("next_id"))
         self._update_seq = int(self._meta("last_applied_update"))
         self._journal = None
@@ -198,9 +137,6 @@ class SQLiteStore(GraphStore):
             "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
             (key, value),
         )
-
-    def _shard_of(self, graph_id: int) -> int:
-        return graph_id % self.num_shards
 
     # ------------------------------------------------------------------
     # container protocol
@@ -265,16 +201,11 @@ class SQLiteStore(GraphStore):
         graphs: list[tuple[int, LabeledGraph]],
         payloads: list[dict] | None = None,
     ) -> None:
-        """Insert graph rows and maintain the per-shard posting lists.
+        """Insert graph rows.
 
         *payloads*, when given, are the graphs' :func:`graph_to_dict`
         forms up to ``name``, which each row takes from its graph.
-
-        Large batches fan their per-shard posting deltas through the
-        ambient kernel pool with ordered reduction; the serial loop is
-        the reference the kernel must match bit for bit.
         """
-        registry = get_registry()
         if payloads is None:
             payloads = [graph_to_dict(graph) for _, graph in graphs]
         rows = []
@@ -283,7 +214,7 @@ class SQLiteStore(GraphStore):
             rows.append(
                 (
                     graph_id,
-                    self._shard_of(graph_id),
+                    0,
                     graph.name or "",
                     json.dumps(payload, separators=(",", ":")),
                     graph.num_vertices,
@@ -297,98 +228,13 @@ class SQLiteStore(GraphStore):
             "num_edges, vlabels, elabels) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
             rows,
         )
-        # Per-shard posting deltas, shard-parallel when worthwhile.
-        by_shard: dict[int, list[tuple[int, LabeledGraph]]] = {}
-        for graph_id, graph in graphs:
-            by_shard.setdefault(self._shard_of(graph_id), []).append(
-                (graph_id, graph)
-            )
-        items = [
-            (shard, tuple(members))
-            for shard, members in sorted(by_shard.items())
-        ]
-        from ..parallel.kernels import shard_postings_kernel
-
-        pool = current_pool()
-        if pool.worth_parallelizing(len(graphs)):
-            deltas = pool.map(shard_postings_kernel, items, payload=None)
-            registry.counter("store.shard_fanouts").add(1)
-        else:
-            deltas = shard_postings_kernel(None, items)
-        for shard, posting_delta, keys_by_graph in deltas:
-            self._connection.executemany(
-                "INSERT INTO graph_keys (id, keys) VALUES (?, ?)",
-                [
-                    (gid, json.dumps([list(k) for k in keys]))
-                    for gid, keys in sorted(keys_by_graph.items())
-                ],
-            )
-            for key, bits in sorted(posting_delta.items()):
-                text = _key_to_text(key)
-                row = self._connection.execute(
-                    "SELECT bits FROM postings WHERE shard = ? AND key = ?",
-                    (shard, text),
-                ).fetchone()
-                merged = bits | (_blob_to_bits(row[0]) if row else 0)
-                self._connection.execute(
-                    "INSERT INTO postings (shard, key, bits) "
-                    "VALUES (?, ?, ?) ON CONFLICT(shard, key) "
-                    "DO UPDATE SET bits = excluded.bits",
-                    (shard, text, _bits_to_blob(merged)),
-                )
-            self._shard_masks.pop(shard, None)
-        registry.counter("store.graphs_inserted").add(len(graphs))
+        get_registry().counter("store.graphs_inserted").add(len(graphs))
 
     def _delete_row(self, graph_id: int) -> None:
-        shard = self._shard_of(graph_id)
-        mask = ~(1 << graph_id)
-        row = self._connection.execute(
-            "SELECT keys FROM graph_keys WHERE id = ?", (graph_id,)
-        ).fetchone()
-        if row is not None:
-            for key_list in json.loads(row[0]):
-                text = _key_to_text(tuple(key_list))
-                posting = self._connection.execute(
-                    "SELECT bits FROM postings WHERE shard = ? AND key = ?",
-                    (shard, text),
-                ).fetchone()
-                if posting is None:
-                    continue
-                remaining = _blob_to_bits(posting[0]) & mask
-                if remaining:
-                    self._connection.execute(
-                        "UPDATE postings SET bits = ? "
-                        "WHERE shard = ? AND key = ?",
-                        (_bits_to_blob(remaining), shard, text),
-                    )
-                else:
-                    self._connection.execute(
-                        "DELETE FROM postings WHERE shard = ? AND key = ?",
-                        (shard, text),
-                    )
-        self._connection.execute(
-            "DELETE FROM graph_keys WHERE id = ?", (graph_id,)
-        )
         self._connection.execute(
             "DELETE FROM graphs WHERE id = ?", (graph_id,)
         )
-        for verdict_row in self._connection.execute(
-            "SELECT pattern, match_bits, seen_bits FROM verdicts "
-            "WHERE shard = ?",
-            (shard,),
-        ).fetchall():
-            self._connection.execute(
-                "UPDATE verdicts SET match_bits = ?, seen_bits = ? "
-                "WHERE shard = ? AND pattern = ?",
-                (
-                    _bits_to_blob(_blob_to_bits(verdict_row[1]) & mask),
-                    _bits_to_blob(_blob_to_bits(verdict_row[2]) & mask),
-                    shard,
-                    verdict_row[0],
-                ),
-            )
         self._cache.pop(graph_id, None)
-        self._shard_masks.pop(shard, None)
         get_registry().counter("store.graphs_deleted").add(1)
 
     # ------------------------------------------------------------------
@@ -425,7 +271,6 @@ class SQLiteStore(GraphStore):
         self._next_id = int(self._meta("next_id"))
         self._update_seq = int(self._meta("last_applied_update"))
         self._cache.clear()
-        self._shard_masks.clear()
         for update_id in self._round_pending:
             self._journal_outcome(update_id, "rolled_back")
         self._round_pending = []
@@ -619,110 +464,6 @@ class SQLiteStore(GraphStore):
         return frequency
 
     # ------------------------------------------------------------------
-    # persisted covindex state
-    # ------------------------------------------------------------------
-    def _postings(self) -> dict[tuple, int]:
-        """The persisted posting bitsets, OR'd over shards."""
-        postings: dict[tuple, int] = {}
-        for key_text, blob in self._connection.execute(
-            "SELECT key, bits FROM postings"
-        ):
-            key = _key_from_text(key_text)
-            postings[key] = postings.get(key, 0) | _blob_to_bits(blob)
-        return postings
-
-    def coverage_index(self) -> CoverageIndex:
-        """Rebuild a :class:`CoverageIndex` from the persisted per-shard
-        posting lists — no invariant is re-derived from any graph."""
-        keys_by_graph = {
-            graph_id: {_tuplify(k) for k in json.loads(text)}
-            for graph_id, text in self._connection.execute(
-                "SELECT id, keys FROM graph_keys"
-            )
-        }
-        return CoverageIndex.from_parts(self._postings(), keys_by_graph)
-
-    def posting_snapshot(self) -> tuple:
-        """``coverage_index().snapshot()`` without building the index.
-
-        The universe is read from the ``graph_keys`` ids and no
-        per-graph key set is decoded, so the cost is the posting
-        bitsets alone; compare it with
-        :func:`~repro.covindex.index.posting_snapshot` over
-        :meth:`items` to check the persisted postings out of core.
-        """
-        universe = bits_of(
-            graph_id
-            for (graph_id,) in self._connection.execute(
-                "SELECT id FROM graph_keys"
-            )
-        )
-        postings = sorted(
-            (key, bits) for key, bits in self._postings().items() if bits
-        )
-        return universe, tuple(postings)
-
-    def _shard_mask(self, shard: int) -> int:
-        mask = self._shard_masks.get(shard)
-        if mask is None:
-            mask = 0
-            for (graph_id,) in self._connection.execute(
-                "SELECT id FROM graphs WHERE shard = ?", (shard,)
-            ):
-                mask |= 1 << graph_id
-            self._shard_masks[shard] = mask
-        return mask
-
-    def save_verdicts(
-        self, pattern_key: tuple, match_bits: int, seen_bits: int
-    ) -> None:
-        """Persist one pattern's verdict bitsets, split by shard."""
-        text = _key_to_text(pattern_key)
-        self._begin()
-        for shard in range(self.num_shards):
-            mask = self._shard_mask(shard)
-            self._connection.execute(
-                "INSERT INTO verdicts (shard, pattern, match_bits, "
-                "seen_bits) VALUES (?, ?, ?, ?) "
-                "ON CONFLICT(shard, pattern) DO UPDATE SET "
-                "match_bits = excluded.match_bits, "
-                "seen_bits = excluded.seen_bits",
-                (
-                    shard,
-                    text,
-                    _bits_to_blob(match_bits & mask),
-                    _bits_to_blob(seen_bits & mask),
-                ),
-            )
-        if not self._in_round:
-            self._connection.execute("COMMIT")
-        get_registry().counter("store.verdicts_saved").add(1)
-
-    def load_verdicts(self, pattern_key: tuple) -> tuple[int, int] | None:
-        """The persisted ``(match_bits, seen_bits)`` of *pattern_key*."""
-        match_bits = seen_bits = 0
-        rows = self._connection.execute(
-            "SELECT match_bits, seen_bits FROM verdicts WHERE pattern = ?",
-            (_key_to_text(pattern_key),),
-        ).fetchall()
-        if not rows:
-            return None
-        for match_blob, seen_blob in rows:
-            match_bits |= _blob_to_bits(match_blob)
-            seen_bits |= _blob_to_bits(seen_blob)
-        return match_bits, seen_bits
-
-    def verdict_keys(self) -> list[tuple]:
-        return sorted(
-            {
-                _key_from_text(text)
-                for (text,) in self._connection.execute(
-                    "SELECT DISTINCT pattern FROM verdicts"
-                )
-            }
-        )
-
-    # ------------------------------------------------------------------
     # copy / pickling / deepcopy
     # ------------------------------------------------------------------
     def copy(self) -> "SQLiteStore":
@@ -736,11 +477,7 @@ class SQLiteStore(GraphStore):
         if self._in_round:
             raise DatabaseError("cannot copy a store mid-round")
         if self.path == ":memory:":
-            clone = SQLiteStore(
-                ":memory:",
-                cache_size=self._cache_size,
-                num_shards=self.num_shards,
-            )
+            clone = SQLiteStore(":memory:", cache_size=self._cache_size)
         else:
             handle, clone_path = tempfile.mkstemp(
                 prefix=f"{Path(self.path).name}.copy-",
@@ -751,11 +488,9 @@ class SQLiteStore(GraphStore):
                 clone_path,
                 journaled=False,
                 cache_size=self._cache_size,
-                num_shards=self.num_shards,
             )
             clone._ephemeral = True
         self._connection.backup(clone._connection)
-        clone.num_shards = int(clone._meta("num_shards"))
         clone._next_id = int(clone._meta("next_id"))
         clone._update_seq = int(clone._meta("last_applied_update"))
         return clone
@@ -787,13 +522,11 @@ class SQLiteStore(GraphStore):
         self._round_pending = []
         self._cache = OrderedDict()
         self._cache_size = state["cache_size"]
-        self._shard_masks = {}
         self._journal = None
         self._connection = sqlite3.connect(
             ":memory:", isolation_level=None, check_same_thread=False
         )
         self._connection.executescript(state["dump"])
-        self.num_shards = int(self._meta("num_shards"))
         self._next_id = int(self._meta("next_id"))
         self._update_seq = int(self._meta("last_applied_update"))
 
@@ -830,6 +563,5 @@ class SQLiteStore(GraphStore):
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
-    "DEFAULT_NUM_SHARDS",
     "SQLiteStore",
 ]

@@ -9,20 +9,18 @@ The load-bearing guarantees:
   isomorphic-pattern bug shrinks to a handful of graphs.
 * **Replay** — a shrunk failure round-trips through a JSON artifact and
   re-evaluates to the same mismatch while the bug is alive (proved here
-  with an injected fault), and to a clean pass once fixed (proved with
-  the committed regression artifact).
+  with an injected fault), and to a clean pass once fixed.
 * **Guards** — armed invariant checks raise a typed
   ``InvariantViolation`` that a transactional maintenance round maps to
   a rollback, never a commit.
 * **Identity** — one maintenance round produces the same observable
-  report under every on/off combination of {workers, cache, covindex,
-  check}.
+  report under every on/off combination of {workers, cache, check}.
 """
 
 from __future__ import annotations
 
 import itertools
-from pathlib import Path
+import json
 
 import pytest
 
@@ -46,6 +44,7 @@ from repro.check.invariants import (
 from repro.check.oracles import ORACLES, get_oracle, oracle_names
 from repro.check.shrink import shrink
 from repro.check.workload import (
+    Mismatch,
     Workload,
     WorkloadBatch,
     permuted_copy,
@@ -53,7 +52,6 @@ from repro.check.workload import (
     workload_to_dict,
 )
 from repro.cli import main
-from repro.covindex import CoverageIndex
 from repro.datasets import aids_like, mixed_update
 from repro.exceptions import InvariantViolation, RolledBack
 from repro.execution import ExecutionConfig
@@ -63,9 +61,6 @@ from repro.patterns import PatternBudget
 from repro.resilience import Fault, inject_faults
 
 from .conftest import make_graph
-
-ARTIFACT_DIR = Path(__file__).parent / "artifacts"
-REGRESSION_ARTIFACT = ARTIFACT_DIR / "permuted_isomorphic_pattern.json"
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +154,6 @@ class TestOracleRegistry:
         assert set(oracle_names()) == {
             "cache",
             "canonical",
-            "covindex",
             "ged",
             "generate",
             "index",
@@ -172,7 +166,7 @@ class TestOracleRegistry:
         }
 
     def test_unknown_oracle_is_a_clear_error(self):
-        with pytest.raises(ValueError, match="covindex"):
+        with pytest.raises(ValueError, match="prune"):
             get_oracle("nonesuch")
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -180,47 +174,38 @@ class TestOracleRegistry:
         report = run_oracle(name, seed=0, budget=2)
         assert report.ok, report.summary()
 
-    @pytest.mark.slow
-    def test_acceptance_command_passes(self):
-        """The PR acceptance criterion: covindex, seed 7, budget 50."""
-        report = run_oracle("covindex", seed=7, budget=50)
-        assert report.ok, report.summary()
 
 
-# ----------------------------------------------------------------------
-# the committed PR-4 regression artifact
-# ----------------------------------------------------------------------
-class TestRegressionArtifact:
-    def test_artifact_records_the_historical_mismatch(self):
-        artifact = load_artifact(REGRESSION_ARTIFACT)
-        assert artifact["format"] == ARTIFACT_FORMAT
-        mismatch = recorded_mismatch(artifact)
-        assert mismatch.signature() == ("covindex", "cover_mismatch")
-        assert mismatch.detail["full_scan"] == [0, 1]
+def _seeded_contains(host, pattern, twin) -> bool:
+    """Containment with each pattern vertex restricted to host vertices
+    carrying its *twin's* label (brute force over injective maps).
 
-    def test_artifact_replays_clean_on_fixed_code(self):
-        """The bug the artifact captured is fixed: replay finds nothing."""
-        assert replay(load_artifact(REGRESSION_ARTIFACT)) is None
-
-    def test_artifact_workload_is_the_regression_shape(self):
-        artifact = load_artifact(REGRESSION_ARTIFACT)
-        workload = workload_from_dict(artifact["workload"])
-        a, b = workload.patterns
-        assert graph_key(a) == graph_key(b)
-        assert len(workload.graphs) == 1
-        assert len(workload.batches) == 1
+    Right when *twin* is *pattern* itself; a false negative when the
+    twin is isomorphic but assigns labels to vertex IDs differently.
+    """
+    vertices = sorted(pattern.vertices())
+    hosts = sorted(host.vertices())
+    for image in itertools.permutations(hosts, len(vertices)):
+        mapping = dict(zip(vertices, image))
+        if all(
+            host.label(mapping[v]) == pattern.label(v) == twin.label(v)
+            for v in vertices
+        ) and all(
+            host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges()
+        ):
+            return True
+    return False
 
 
 def _prefix_buggy_cover_disagrees(workload: Workload) -> bool:
-    """Re-enact the pre-fix engine on *workload*: true iff the bug fires.
+    """Re-enact an old delta-coverage bug on *workload*: true iff it fires.
 
-    The fixed engine verifies with its *stored* pattern (the first
-    registrant of a canonical key) and seeds VF2 with domains keyed by
-    that object's vertex IDs.  The pre-fix code seeded domains from the
-    stored twin but ran VF2 with the *caller's* isomorphic copy — two
-    different vertex-ID->label assignments, so the domains can exclude
-    every valid host vertex and delta verification reports a false
-    negative.
+    Covers were maintained per batch, and inserted hosts were verified
+    with vertex domains keyed by the vertex IDs of the first registrant
+    of each canonical key, while the search ran on the caller's
+    isomorphic copy — two different vertex-ID->label assignments, so
+    the domains could exclude every valid host vertex and report a
+    false negative.
     """
     stored: dict = {}
     for pattern in workload.patterns:
@@ -238,11 +223,9 @@ def _prefix_buggy_cover_disagrees(workload: Workload) -> bool:
                 cover.discard(gid)
         for gid, host in batch.added.items():
             view[gid] = host
-            index = CoverageIndex.build({gid: host})
             for i, pattern in enumerate(workload.patterns):
                 twin = stored[graph_key(pattern)]
-                domains = index.vertex_domains(twin, gid, host)
-                if contains(host, pattern, domains=domains):  # the bug
+                if _seeded_contains(host, pattern, twin):  # the bug
                     covers[i].add(gid)
     reference = [
         {gid for gid, host in view.items() if contains(host, p)}
@@ -254,7 +237,7 @@ def _prefix_buggy_cover_disagrees(workload: Workload) -> bool:
 class TestShrinker:
     def test_reduces_padded_regression_to_minimal_repro(self):
         """Satellite acceptance: the shrinker strips every padding graph
-        and leaves <= 3 graphs that still reproduce the PR-4 bug."""
+        and leaves <= 3 graphs that still reproduce the bug."""
         base = _regression_workload()
         padded = Workload(
             graphs={
@@ -295,7 +278,7 @@ class TestFaultToReplayPipeline:
         active — and to a clean pass without it."""
         plan = {"vf2.search": Fault(kind="error", times=None)}
         with inject_faults(plan):
-            report = run_oracle("covindex", seed=7, budget=5)
+            report = run_oracle("prune", seed=7, budget=5)
         assert not report.ok
         assert report.mismatch.code == "exception"
         assert report.mismatch.detail["type"] == "FaultInjected"
@@ -304,7 +287,7 @@ class TestFaultToReplayPipeline:
 
         path = write_artifact(tmp_path / "fault.json", report)
         artifact = load_artifact(path)
-        assert artifact["oracle"] == "covindex"
+        assert artifact["oracle"] == "prune"
 
         # Bug still "alive" (fault active): replay reproduces the exact
         # recorded mismatch from the JSON alone.
@@ -410,8 +393,26 @@ class TestCheckCli:
         ) == 0
         assert "passed" in capsys.readouterr().out
 
-    def test_replay_clean_artifact_exits_zero(self, capsys):
-        code = main(["check", "--replay", str(REGRESSION_ARTIFACT)])
+    def test_replay_clean_artifact_exits_zero(self, tmp_path, capsys):
+        """An artifact whose recorded mismatch no longer reproduces:
+        permuted isomorphic twins that once got different covers."""
+        path = tmp_path / "twins.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": ARTIFACT_FORMAT,
+                    "oracle": "prune",
+                    "seed": 0,
+                    "mismatch": Mismatch(
+                        "prune", "cover_after_prune", {"view": 1}
+                    ).to_dict(),
+                    "workload": workload_to_dict(_regression_workload()),
+                    "original_size": None,
+                    "shrunk_size": list(_regression_workload().size()),
+                }
+            )
+        )
+        code = main(["check", "--replay", str(path)])
         assert code == 0
         assert "clean" in capsys.readouterr().out.lower()
 
@@ -420,7 +421,7 @@ class TestCheckCli:
 
 
 # ----------------------------------------------------------------------
-# execution-knob identity: one round, all 2^5 combinations
+# execution-knob identity: one round, all 2^3 combinations
 # ----------------------------------------------------------------------
 def _knob_fingerprint(execution: ExecutionConfig):
     """One bootstrap + one mixed round under *execution*; every
@@ -445,27 +446,21 @@ def _knob_fingerprint(execution: ExecutionConfig):
     )
 
 
-KNOB_COMBOS = list(
-    itertools.product(
-        (1, 2), (False, True), (False, True), (False, True)
-    )
-)
+KNOB_COMBOS = list(itertools.product((1, 2), (False, True), (False, True)))
 
 _baseline_fingerprint: list = []
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "workers,cache,covindex,check",
+    "workers,cache,check",
     KNOB_COMBOS,
     ids=[
-        f"workers{w}-cache{int(ca)}-covindex{int(co)}-check{int(ch)}"
-        for w, ca, co, ch in KNOB_COMBOS
+        f"workers{w}-cache{int(ca)}-check{int(ch)}"
+        for w, ca, ch in KNOB_COMBOS
     ],
 )
-def test_execution_knobs_do_not_change_results(
-    workers, cache, covindex, check
-):
+def test_execution_knobs_do_not_change_results(workers, cache, check):
     """Every on/off combination of the execution accelerators (and the
     invariant guards) produces an identical maintenance round — the
     knobs trade speed, never answers."""
@@ -475,7 +470,6 @@ def test_execution_knobs_do_not_change_results(
         ExecutionConfig(
             workers=workers,
             cache=cache,
-            covindex=covindex,
             check=check,
         )
     )

@@ -53,7 +53,6 @@ class TestExecutionFlagHelp:
             "--deadline-ms",
             "--workers",
             "--cache",
-            "--covindex",
             "--check",
             "--degrade",
         ):

@@ -8,8 +8,8 @@ Four guarantees:
   as a string literal somewhere under src/repro — the catalogue cannot
   drift from the instrumentation;
 * the reverse, for the execution-layer namespaces: every ``parallel.*``
-  / ``cache.*`` / ``covindex.*`` / ``vf2.*`` / ``check.*`` / ``serve.*``
-  / ``journal.*`` metric literal under src/repro is catalogued in
+  / ``cache.*`` / ``vf2.*`` / ``check.*`` / ``serve.*`` / ``journal.*``
+  / ``store.*`` metric literal under src/repro is catalogued in
   OBSERVABILITY.md — the instrumentation cannot drift from the
   catalogue;
 * the invariant catalogue in docs/CORRECTNESS.md matches the guard
@@ -109,7 +109,7 @@ def test_documented_span_exists_in_source(name, source_text):
 
 
 EXECUTION_METRIC_PATTERN = re.compile(
-    r'"((?:parallel|cache|covindex|vf2|check|serve|journal|store)\.'
+    r'"((?:parallel|cache|vf2|check|serve|journal|store)\.'
     r'[a-z_][a-z_.]*)"'
 )
 
@@ -160,7 +160,8 @@ def _correctness_invariant_names() -> set[str]:
 
 
 def test_execution_metrics_are_catalogued(source_text):
-    """Every parallel./cache./covindex./vf2./check. literal is catalogued."""
+    """Every parallel./cache./vf2./check./serve./journal./store. literal
+    is catalogued."""
     emitted = (
         set(EXECUTION_METRIC_PATTERN.findall(source_text))
         - EXECUTION_SITE_NAMES
@@ -175,16 +176,12 @@ def test_execution_metrics_are_catalogued(source_text):
     )
 
 
-#: The metrics introduced with the vectorized bitset substrate and the
-#: persistent shared-memory workers (docs/PERFORMANCE.md).  Named
+#: The metrics introduced with the persistent shared-memory workers and
+#: the perf figure's trend gauges (docs/PERFORMANCE.md).  Named
 #: explicitly — beyond the generic sweep above — so that renaming or
 #: dropping any of them breaks this test instead of silently shrinking
 #: the catalogue.
 SUBSTRATE_METRIC_NAMES = {
-    "covindex.filter_ns",
-    "covindex.trend.filter_ns_per_round_int",
-    "covindex.trend.filter_ns_per_round_numpy",
-    "covindex.trend.filter_speedup",
     "parallel.fallback",
     "parallel.bytes_pickled",
     "parallel.worker_restarts",

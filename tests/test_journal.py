@@ -21,12 +21,15 @@ from __future__ import annotations
 import asyncio
 import pickle
 import shutil
+import sys
+import types
 
 import pytest
 
 from repro import api
 from repro.datasets import aids_like, family_injection
 from repro.exceptions import JournalCorruption, JournalError, RolledBack
+from repro.execution import ExecutionConfig
 from repro.graph.canonical import canonical_certificate
 from repro.journal import (
     Journal,
@@ -290,6 +293,65 @@ class TestCheckpoint:
         report = revived.apply_update(family_injection(4, seed=2))
         assert not report.aborted
         assert len(revived.database) == size + 4
+
+    def test_checkpoint_with_the_retired_coverage_engine_loads(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoints taken with the coverage engine on pickle it inside
+        the oracle, from modules that no longer exist, and a config
+        whose ExecutionConfig still carries ``covindex``.  Such a
+        maintainer loads, drops the engine, keeps its covers and keeps
+        running rounds."""
+        engine_module = types.ModuleType("repro.covindex.engine")
+        bitset_module = types.ModuleType("repro.covindex.bitset")
+        engine_module.CoverageEngine = type(
+            "CoverageEngine", (), {"__module__": engine_module.__name__}
+        )
+        bitset_module.IntOps = type(
+            "IntOps", (), {"__module__": bitset_module.__name__}
+        )
+        engine = engine_module.CoverageEngine()
+        engine.ops = bitset_module.IntOps()
+        engine.verdicts = {("key",): (0b101, 0b111)}
+
+        midas = make_midas()
+        covers = {
+            p.pattern_id: midas.oracle.cover(p.graph) for p in midas.patterns
+        }
+        midas.oracle._engine = engine
+        legacy = ExecutionConfig()
+        object.__setattr__(legacy, "covindex", True)
+        midas.config.execution = legacy
+        with monkeypatch.context() as patched:
+            patched.setitem(sys.modules, engine_module.__name__, engine_module)
+            patched.setitem(sys.modules, bitset_module.__name__, bitset_module)
+            write_checkpoint(
+                tmp_path,
+                checkpoint_id=0,
+                midas=midas,
+                version=1,
+                last_update_id=0,
+                next_update_id=1,
+            )
+        revived = load_latest_checkpoint(tmp_path).midas
+        assert not hasattr(revived.oracle, "_engine")
+        assert revived.config.execution == ExecutionConfig()
+        assert {
+            p.pattern_id: revived.oracle.cover(p.graph)
+            for p in revived.patterns
+        } == covers
+        size = len(revived.database)
+        report = revived.apply_update(family_injection(4, seed=2))
+        assert not report.aborted
+        assert len(revived.database) == size + 4
+
+    def test_pickled_execution_config_with_covindex_loads(self):
+        legacy = ExecutionConfig(workers=2, cache=True)
+        object.__setattr__(legacy, "covindex", True)
+        revived = pickle.loads(pickle.dumps(legacy))
+        assert revived == ExecutionConfig(workers=2, cache=True)
+        with revived.apply():
+            pass
 
     def test_invalid_latest_falls_back(self, tmp_path):
         midas = make_midas()

@@ -69,6 +69,18 @@ class TestMinorModification:
             assert midas.clusters.cluster_of(gid) >= 0
         assert midas.fct_set.db_size == len(midas.database)
 
+    def test_deleted_graphs_leave_oracle_covers(self, midas):
+        """Each round rebuilds the coverage oracle over the new sample:
+        a deleted graph leaves the view and every cover set."""
+        pattern = midas.pattern_graphs()[0]
+        covered = midas.oracle.cover(pattern)
+        assert covered
+        victims = sorted(covered)[:2]
+        midas.apply_update(BatchUpdate.of(deletions=victims))
+        assert not set(victims) & midas.oracle.graph_ids()
+        assert not set(victims) & midas.oracle.cover(pattern)
+        assert not set(victims) & midas.oracle.label_cover(pattern)
+
 
 class TestMajorModification:
     def test_family_injection_is_major(self, midas):

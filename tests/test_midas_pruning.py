@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.cache.stores import CacheManager, set_caches, use_caching
 from repro.check.fuzz import random_workload
 from repro.check.oracles import _literal_promising
-from repro.covindex.engine import CoverageEngine
 from repro.midas import PruningContext
 from repro.obs import get_registry
 from repro.patterns import CoverageOracle
@@ -225,26 +224,12 @@ class TestMarginalPromising:
         assert not oracle.marginal_reaches(co, frozenset({4, 5}), 8)
         assert oracle.isomorphism_tests == tests
 
-    def test_engine_verifies_only_residual_hosts(self, paper_db):
-        graphs = dict(paper_db.items())
-        oracle = CoverageOracle(graphs, engine=CoverageEngine(graphs))
-        co = make_graph("CO", [(0, 1)])
-        excluded = frozenset({0, 1, 2, 3, 5, 6, 7})
-        assert oracle.marginal_reaches(co, excluded, 1)
-        # The filter drops G4 (no C-O edge); only G8 is left to verify.
-        assert oracle.isomorphism_tests == 1
-        assert oracle._cover_cache == {}
-        assert oracle.cover(co) == frozenset({0, 1, 2, 3, 5, 6, 7, 8})
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_engine_and_embedding_cache_agree(self, seed):
+    def test_embedding_cache_agrees(self, seed):
         graphs, displayed, candidates = fuzz_case(seed)
         plain = PruningContext(CoverageOracle(graphs), displayed, 0.1)
         want = [plain.is_promising(c) for c in candidates]
-        engine_oracle = CoverageOracle(graphs, engine=CoverageEngine(graphs))
-        engine = PruningContext(engine_oracle, displayed, 0.1)
-        assert [engine.is_promising(c) for c in candidates] == want
         previous = set_caches(CacheManager())
         try:
             with use_caching(True):

@@ -6,7 +6,6 @@ import pytest
 
 from repro import api
 from repro.datasets import aids_like, family_injection, random_insertions
-from repro.execution import ExecutionConfig
 from repro.midas import Midas, MidasConfig
 from repro.obs import (
     BoundCounter,
@@ -125,21 +124,20 @@ class TestRegistry:
 
 class TestBoundCounters:
     #: Totals of the hot-path counters on :meth:`_workload`, measured
-    #: with by-name lookups on every event (before VF2, covindex and
-    #: swap bound or batched them).  The ``vf2.*`` totals were re-pinned
-    #: when FCT mining stopped calling VF2 (growth by embedding
-    #: extension, Δ⁺ covers and TG counts read from that mine).
+    #: with by-name lookups on every event (before VF2 and swap bound
+    #: or batched them).  The ``vf2.*`` totals were re-pinned when FCT
+    #: mining stopped calling VF2 (growth by embedding extension, Δ⁺
+    #: covers and TG counts read from that mine), and again when the
+    #: workload dropped the coverage engine: they are the full-scan
+    #: totals, equal to the engine-off run before the engine's removal.
     EXPECTED = {
-        "vf2.calls": 1783,
-        "vf2.prefilter_cutoffs": 695,
-        "vf2.searches": 1088,
-        "vf2.states_explored": 15202,
-        "vf2.backtracks": 9259,
+        "vf2.calls": 2011,
+        "vf2.prefilter_cutoffs": 859,
+        "vf2.searches": 1152,
+        "vf2.states_explored": 15936,
+        "vf2.backtracks": 9801,
         "swap.ged_cache_hits": 91,
         "swap.ged_cache_misses": 21,
-        "covindex.filter_queries": 19,
-        "covindex.candidates_kept": 111,
-        "covindex.candidates_pruned": 497,
     }
 
     @staticmethod
@@ -151,11 +149,7 @@ class TestBoundCounters:
             seed=5,
             epsilon=0.0,
         )
-        midas = api.bootstrap(
-            aids_like(24, seed=11),
-            config=config,
-            execution=ExecutionConfig(covindex=True),
-        )
+        midas = api.bootstrap(aids_like(24, seed=11), config=config)
         api.maintain(midas, family_injection(8, seed=3))
         registry = get_registry()
         return {

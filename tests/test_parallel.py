@@ -334,7 +334,7 @@ class TestPersistentViewWorkers:
                 before = registry.counter("parallel.bytes_pickled").value
                 view_verdicts = pool.map(
                     contains_view_kernel,
-                    [(graph_id, None) for graph_id in ids],
+                    ids,
                     payload=(view.view_id, view.generation, pattern),
                 )
                 view_bytes = (
@@ -347,7 +347,7 @@ class TestPersistentViewWorkers:
 
     def test_workers_restart_once_per_republish(self, hosts):
         pattern = make_graph("CC", [(0, 1)])
-        items = [(graph_id, None) for graph_id in sorted(hosts)]
+        items = sorted(hosts)
         registry = get_registry()
         view = publish_view(hosts)
         try:
@@ -379,7 +379,7 @@ class TestPersistentViewWorkers:
 
     def test_stale_generation_fails_loudly_in_worker(self, hosts):
         pattern = make_graph("CC", [(0, 1)])
-        items = [(graph_id, None) for graph_id in sorted(hosts)]
+        items = sorted(hosts)
         view = publish_view(hosts)
         try:
             with KernelPool(2, force=True) as pool:
@@ -395,10 +395,10 @@ class TestPersistentViewWorkers:
             retire_view(view.view_id)
 
     def test_oracle_fanout_restarts_once_per_committed_batch(self):
-        """End to end: CoverageOracle publishes its view once, a
-        committed batch republishes it, and the next fan-out restarts
-        the workers exactly once — with covers matching a fresh serial
-        oracle over the final view."""
+        """End to end: CoverageOracle publishes its view once, the
+        oracle a committed batch builds over the new view publishes its
+        own, and its first fan-out restarts the workers exactly once —
+        with covers matching a fresh serial oracle over that view."""
         from repro.datasets import aids_like
         from repro.patterns.metrics import CoverageOracle
 
@@ -410,18 +410,16 @@ class TestPersistentViewWorkers:
             first = oracle.cover(pattern)
             restarts = registry.counter("parallel.worker_restarts").value
             extra = dict(aids_like(20, seed=12).items())
-            added = {
-                max(hosts) + 1 + i: graph
+            final_view = dict(hosts)
+            final_view.update(
+                (max(hosts) + 1 + i, graph)
                 for i, graph in enumerate(extra.values())
-            }
-            oracle.apply_update(added, [])
-            second = oracle.cover(pattern)
+            )
+            second = CoverageOracle(final_view).cover(pattern)
             assert (
                 registry.counter("parallel.worker_restarts").value
                 == restarts + 1
             )
-        final_view = dict(hosts)
-        final_view.update(added)
         serial = CoverageOracle(final_view)
         assert second == serial.cover(pattern)
         assert first <= second

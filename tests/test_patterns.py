@@ -184,6 +184,22 @@ class TestCoverageOracle:
         cn = make_graph("CN", [(0, 1)])
         assert oracle.set_scov([co, cn]) >= oracle.set_scov([co])
 
+    def test_permuted_isomorphic_pattern_same_cover(self):
+        """Isomorphic patterns share the canonical key but may assign
+        labels to vertex IDs differently; each must get the full cover
+        (regression: a seeded delta path once missed a host for the
+        permuted twin)."""
+        pattern_a = make_graph("CO", [(0, 1)])  # vertex 0 is C
+        pattern_b = make_graph("OC", [(0, 1)])  # vertex 0 is O
+        graphs = {
+            0: make_graph("COS", [(0, 1), (1, 2)]),
+            1: make_graph("NCO", [(0, 1), (1, 2)]),
+        }
+        oracle = CoverageOracle(graphs)
+        assert oracle.cover(pattern_a) == {0, 1}
+        assert oracle.cover(pattern_b) == {0, 1}
+        assert CoverageOracle(graphs).cover(pattern_b) == {0, 1}
+
     def test_graphs_with_edge_label(self, oracle):
         assert oracle.graphs_with_edge_label(("C", "N")) == {1, 4}
 

@@ -11,14 +11,13 @@ object's ``_graphs`` / ``_next_id``.
 
 import ast
 import copy
+import json
 import pickle
 import sqlite3
 from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments.store import postings_agree
-from repro.covindex.index import CoverageIndex
 from repro.graph import BatchUpdate, DatabaseError, GraphDatabase
 from repro.graph.io import graph_to_dict
 from repro.store import GraphStore, open_store
@@ -292,23 +291,79 @@ class TestCrossBackendIdentity:
         assert messages[:half] == messages[half:]
 
 
-def _flip_posting_bit(db: sqlite3.Connection) -> None:
-    """Clear the lowest set bit of the first persisted posting row."""
-    blob, rowid = db.execute(
-        "SELECT bits, rowid FROM postings ORDER BY rowid"
-    ).fetchone()
-    bits = int.from_bytes(blob, "little")
-    bits &= bits - 1
-    db.execute(
-        "UPDATE postings SET bits = ? WHERE rowid = ?",
-        (bits.to_bytes(max(1, (bits.bit_length() + 7) // 8), "little"), rowid),
-    )
+#: The schema of files written while the store persisted coverage
+#: postings and verdicts per shard.
+_LEGACY_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE graphs (
+    id INTEGER PRIMARY KEY,
+    shard INTEGER NOT NULL,
+    name TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    num_vertices INTEGER NOT NULL,
+    num_edges INTEGER NOT NULL,
+    vlabels TEXT NOT NULL,
+    elabels TEXT NOT NULL
+);
+CREATE INDEX graphs_shard ON graphs (shard);
+CREATE TABLE graph_keys (id INTEGER PRIMARY KEY, keys TEXT NOT NULL);
+CREATE TABLE postings (
+    shard INTEGER NOT NULL,
+    key TEXT NOT NULL,
+    bits BLOB NOT NULL,
+    PRIMARY KEY (shard, key)
+);
+CREATE TABLE verdicts (
+    shard INTEGER NOT NULL,
+    pattern TEXT NOT NULL,
+    match_bits BLOB NOT NULL,
+    seen_bits BLOB NOT NULL,
+    PRIMARY KEY (shard, pattern)
+);
+"""
 
 
-def _delete_graph_keys_row(db: sqlite3.Connection) -> None:
-    db.execute(
-        "DELETE FROM graph_keys WHERE id = (SELECT MIN(id) FROM graph_keys)"
-    )
+def _write_legacy_store(path: Path, graphs: list) -> None:
+    """A file in the legacy layout: three shards, populated postings,
+    per-graph keys and verdicts."""
+    with sqlite3.connect(path) as db:
+        db.executescript(_LEGACY_SCHEMA)
+        db.executemany(
+            "INSERT INTO meta VALUES (?, ?)",
+            [
+                ("format", "repro-store-v1"),
+                ("next_id", str(len(graphs))),
+                ("last_applied_update", "-1"),
+                ("num_shards", "3"),
+            ],
+        )
+        for graph_id, graph in enumerate(graphs):
+            payload = dict(graph_to_dict(graph), name=f"G{graph_id}")
+            db.execute(
+                "INSERT INTO graphs VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    graph_id,
+                    graph_id % 3,
+                    f"G{graph_id}",
+                    json.dumps(payload, separators=(",", ":")),
+                    graph.num_vertices,
+                    graph.num_edges,
+                    json.dumps(sorted(graph.vertex_label_set())),
+                    json.dumps(sorted(graph.edge_label_set())),
+                ),
+            )
+            db.execute(
+                "INSERT INTO graph_keys VALUES (?, ?)",
+                (graph_id, '[["vl", "C", 1]]'),
+            )
+            db.execute(
+                "INSERT INTO postings VALUES (?, ?, ?)",
+                (graph_id % 3, '["vl","C",1]', bytes([1 << graph_id])),
+            )
+            db.execute(
+                "INSERT INTO verdicts VALUES (?, ?, ?, ?)",
+                (graph_id % 3, '["p"]', b"\x00", bytes([1 << graph_id])),
+            )
 
 
 class TestSQLiteSpecifics:
@@ -325,53 +380,55 @@ class TestSQLiteSpecifics:
                 graph_to_dict(reopened[g]) for g in reopened.ids()
             ] == expected
 
-    def test_coverage_index_matches_rebuild(self, tmp_path):
-        with SQLiteStore(tmp_path / "store.db") as s:
-            _seed(s)
-            s.apply(
+    def test_legacy_sharded_file_opens_and_replays(self, tmp_path):
+        """A file written with persisted postings, graph keys, verdicts
+        and a non-default shard count opens, hydrates, replays a
+        pending journal batch and applies new batches."""
+        from repro.journal.segments import Journal
+
+        path = tmp_path / "legacy.db"
+        seeded = [
+            make_graph("CO", [(0, 1)]),
+            make_graph("CN", [(0, 1)]),
+            make_graph("CCO", [(0, 1), (1, 2)]),
+        ]
+        _write_legacy_store(path, seeded)
+        pending = make_graph("CS", [(0, 1)])
+        journal = Journal(Path(f"{path}.wal"))
+        journal.append(
+            {
+                "type": "submitted",
+                "update_id": 0,
+                "store_batch": {
+                    "insertions": [graph_to_dict(pending)],
+                    "deletions": [1],
+                    "assigned_ids": [3],
+                    "next_id_after": 4,
+                    "deferred": False,
+                },
+            }
+        )
+        journal.close()
+        with SQLiteStore(path) as s:
+            assert s.ids() == [0, 2, 3]
+            assert s.next_graph_id() == 4
+            assert graph_to_dict(s[2])["labels"] == ["C", "C", "O"]
+            assert graph_to_dict(s[3])["labels"] == ["C", "S"]
+            record = s.apply(
                 BatchUpdate.of(
-                    insertions=[make_graph("CS", [(0, 1)])], deletions=[1]
+                    insertions=[make_graph("NO", [(0, 1)])], deletions=[0]
                 )
             )
-            assert s.coverage_index() == CoverageIndex.build(
-                dict(s.items())
-            )
-
-    @pytest.mark.parametrize(
-        "tamper",
-        [None, _flip_posting_bit, _delete_graph_keys_row],
-        ids=["clean", "flipped_posting_bit", "deleted_graph_keys_row"],
-    )
-    def test_streamed_postings_check(self, tmp_path, tamper):
-        """The store figure's out-of-core check agrees with the full
-        index comparison: it passes on a clean store and fails on a
-        flipped posting bit or a lost ``graph_keys`` row."""
-        path = tmp_path / "store.db"
-        with SQLiteStore(path) as s:
-            _seed(s)
-            s.apply(
-                BatchUpdate.of(
-                    insertions=[make_graph("CS", [(0, 1)])], deletions=[1]
-                )
-            )
-        if tamper is not None:
-            with sqlite3.connect(path) as db:
-                tamper(db)
-        with SQLiteStore(path) as s:
-            assert s.posting_snapshot() == s.coverage_index().snapshot()
-            full = s.coverage_index() == CoverageIndex.build(dict(s.items()))
-            assert full is (tamper is None)
-            assert postings_agree(s) is full
-
-    def test_verdict_persistence(self, tmp_path):
-        path = tmp_path / "store.db"
-        with SQLiteStore(path) as s:
-            _seed(s)
-            s.save_verdicts("pattern-key", 0b101, 0b111)
+            assert record.inserted_ids == [4]
+            assert s.total_edges() == 4
         with SQLiteStore(path) as reopened:
-            assert reopened.verdict_keys() == ["pattern-key"]
-            assert reopened.load_verdicts("pattern-key") == (0b101, 0b111)
-            assert reopened.load_verdicts("absent") is None
+            assert reopened.ids() == [2, 3, 4]
+            assert sorted(reopened.vertex_label_alphabet()) == [
+                "C",
+                "N",
+                "O",
+                "S",
+            ]
 
     def test_rollback_round_restores_state(self, tmp_path):
         with SQLiteStore(tmp_path / "store.db") as s:
@@ -385,9 +442,7 @@ class TestSQLiteSpecifics:
             s.rollback_round()
             assert s.ids() == [0, 1, 2]
             assert s.next_graph_id() == 3
-            assert s.coverage_index() == CoverageIndex.build(
-                dict(s.items())
-            )
+            assert graph_to_dict(s[0])["labels"] == ["C", "O"]
 
     def test_deepcopy_returns_self(self, tmp_path):
         with SQLiteStore(tmp_path / "store.db") as s:
@@ -419,9 +474,7 @@ class TestSQLiteSpecifics:
         with SQLiteStore(path) as reopened:
             assert reopened.ids() == [1, 2, 3]
             assert reopened.next_graph_id() == 4
-            assert reopened.coverage_index() == CoverageIndex.build(
-                dict(reopened.items())
-            )
+            assert graph_to_dict(reopened[3])["labels"] == ["C", "S"]
 
     def test_copy_refused_mid_round(self, tmp_path):
         with SQLiteStore(tmp_path / "store.db") as s:
