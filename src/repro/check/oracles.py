@@ -3,7 +3,8 @@
 Every performance-bearing path in the repo promises *byte-identical*
 results to a slow reference — parallel kernels vs serial, canonical-form
 caches vs cold, incremental FCT/index maintenance vs rebuild, pruned
-promising tests vs the literal definition.  Each :class:`Oracle` here packages
+promising tests vs the literal definition, swap decisions on per-panel
+state vs per-pair evaluation.  Each :class:`Oracle` here packages
 one such promise as a pure function ``(workload) -> Mismatch | None``:
 it runs both sides on the same :class:`~repro.check.workload.Workload`
 and reports the first disagreement.  Metamorphic oracles (``canonical``,
@@ -57,11 +58,14 @@ from ..graph.labeled_graph import LabeledGraph, edge_key
 from ..index.maintenance import IndexPair
 from ..isomorphism.matcher import contains, count_embeddings
 from ..midas.pruning import PruningContext
+from ..midas.swap import MultiScanSwapper, kappa_schedule
 from ..parallel.pool import shared_pool, use_pool
 from ..patterns.budget import PatternBudget
-from ..patterns.metrics import CoverageOracle
+from ..patterns.metrics import CoverageOracle, cognitive_load
+from ..patterns.pattern import PatternSet
 from ..serve.snapshot import SnapshotStore, build_snapshot
 from ..trees.maintenance import FCTSet
+from ..utils.stats import ks_similarity
 from .workload import Mismatch, Workload, permuted_copy
 
 #: Support threshold used by the ``index`` oracle's FCT sets — high
@@ -385,6 +389,236 @@ def prune_oracle(workload: Workload) -> Mismatch | None:
                                 "full_scan": sorted(fresh.cover(candidate)),
                             },
                         )
+    return None
+
+
+# ----------------------------------------------------------------------
+# multi-scan swap
+# ----------------------------------------------------------------------
+#: (κ, λ, adaptive κ, KS α) settings the ``swap`` oracle runs.  λ = 0
+#: lets fuzz-sized panels reach every later condition and actual swaps.
+#: A one-pattern swap moves the size distribution's empirical CDF by at
+#: most 1/γ, where the two-sample KS p-value is 1.0, so only α > 1
+#: makes the KS test reject: the last setting exercises that branch.
+SWAP_SETTINGS = (
+    (0.0, 0.0, False, 0.05),
+    (0.1, 0.1, False, 0.05),
+    (0.1, 0.0, True, 0.05),
+    (0.0, 0.0, False, 1.5),
+)
+
+#: Scans per ``swap`` oracle run; the adaptive schedule moves κ per scan.
+SWAP_MAX_SCANS = 3
+
+
+def _literal_swap(
+    oracle: CoverageOracle,
+    pattern_set: PatternSet,
+    candidates: list[LabeledGraph],
+    kappa: float,
+    lambda_: float,
+    adaptive_kappa: bool,
+    ged_method: str = "tight_lower",
+    ks_alpha: float = 0.05,
+    sigma_initial: float = 0.25,
+) -> dict:
+    """``MultiScanSwapper.run`` transcribed with every (victim,
+    candidate) pair evaluated from scratch.
+
+    Each check recomputes both scores, the benefit and loss, the KS
+    test and the set quality of the panel before and after the swap,
+    with an unmemoised GED per distance.  Returns what the swapper's
+    :class:`~repro.midas.swap.SwapOutcome` records.
+    """
+
+    def distance(first: LabeledGraph, second: LabeledGraph) -> float:
+        return float(ged(first, second, method=ged_method))
+
+    def diversity(pattern, others) -> float:
+        if not others:
+            return float(pattern.num_edges + pattern.num_vertices)
+        return min(distance(pattern, other) for other in others)
+
+    def score(pattern, others) -> float:
+        load = cognitive_load(pattern)
+        if load <= 0:
+            return 0.0
+        return (
+            oracle.scov(pattern)
+            * oracle.lcov(pattern)
+            * diversity(pattern, others)
+            / load
+        )
+
+    def set_quality(patterns) -> tuple[float, float, float]:
+        divs = []
+        for i, pattern in enumerate(patterns):
+            others = patterns[:i] + patterns[i + 1 :]
+            if others:
+                divs.append(diversity(pattern, others))
+        f_div = min(divs) if divs else 0.0
+        f_cog = max(cognitive_load(p) for p in patterns)
+        return f_div, f_cog, oracle.set_lcov(patterns)
+
+    def verdict(victim_id: int, candidate, kappa: float) -> str:
+        victim = pattern_set.get(victim_id).graph
+        current = [p.graph for p in pattern_set]
+        others = [p.graph for p in pattern_set if p.pattern_id != victim_id]
+        prospective = others + [candidate]
+        if score(candidate, others) < (1.0 + lambda_) * score(victim, others):
+            return "sw2"
+        benefit = oracle.benefit_score(candidate, current)
+        if benefit < (1.0 + kappa) * oracle.loss_score(victim, others):
+            return "sw1"
+        if not ks_similarity(
+            [p.num_edges for p in current],
+            [p.num_edges for p in prospective],
+            ks_alpha,
+        ):
+            return "ks"
+        div_before, cog_before, lcov_before = set_quality(current)
+        div_after, cog_after, lcov_after = set_quality(prospective)
+        if div_after < div_before:
+            return "sw3"
+        if cog_after > cog_before:
+            return "sw4"
+        if lcov_after < lcov_before:
+            return "sw5"
+        return "swap"
+
+    result = {
+        "decisions": [],
+        "swaps": [],
+        "rejected_sw1": 0,
+        "rejected_quality": 0,
+        "terminated_by_sw2": False,
+        "candidates_considered": 0,
+        "scans": 0,
+    }
+    position_of = {id(c): i for i, c in enumerate(candidates)}
+    remaining = list(candidates)
+    sigma = sigma_initial
+    for scan in range(1, SWAP_MAX_SCANS + 1):
+        if adaptive_kappa:
+            kappa, sigma = kappa_schedule(sigma)
+        result["scans"] = scan
+        graphs = [p.graph for p in pattern_set]
+        remaining.sort(key=lambda c: -score(c, graphs))
+        swapped = terminated = False
+        for candidate in list(remaining):
+            if terminated:
+                break
+            if pattern_set.has_isomorphic(candidate):
+                remaining.remove(candidate)
+                continue
+            result["candidates_considered"] += 1
+            victims = sorted(
+                pattern_set.ids(),
+                key=lambda pid: score(
+                    pattern_set.get(pid).graph,
+                    [p.graph for p in pattern_set if p.pattern_id != pid],
+                ),
+            )
+            for position, victim_id in enumerate(victims):
+                reason = verdict(victim_id, candidate, kappa)
+                result["decisions"].append(
+                    (scan, position_of[id(candidate)], victim_id, reason)
+                )
+                if reason == "sw2":
+                    if position == 0:
+                        result["terminated_by_sw2"] = terminated = True
+                    break
+                if reason == "sw1":
+                    result["rejected_sw1"] += 1
+                    continue
+                if reason != "swap":
+                    result["rejected_quality"] += 1
+                    continue
+                added = pattern_set.swap(victim_id, candidate, "literal")
+                result["swaps"].append(
+                    (scan, victim_id, added.pattern_id)
+                )
+                remaining.remove(candidate)
+                swapped = True
+                break
+        if not swapped or terminated:
+            break
+    return result
+
+
+def _panel_signature(pattern_set: PatternSet) -> list[tuple]:
+    return [
+        (p.pattern_id, canonical_certificate(p.graph)) for p in pattern_set
+    ]
+
+
+def swap_oracle(workload: Workload) -> Mismatch | None:
+    """The multi-scan swap vs a per-pair transcription, decision by
+    decision.
+
+    Per view, the first half of the workload's patterns (isomorphic
+    repeats dropped) is the panel and every pattern is a candidate.
+    :class:`~repro.midas.swap.MultiScanSwapper`, which evaluates checks
+    against per-panel state, must take exactly the decisions of
+    :func:`_literal_swap` — each verdict and its reason, the swaps, the
+    rejection counts, the sw2 termination, the candidates considered
+    and the final panel — under each of :data:`SWAP_SETTINGS`.
+    """
+    patterns = list(workload.patterns)
+    initial = PatternSet()
+    for pattern in patterns[: max(1, len(patterns) // 2)]:
+        if not initial.has_isomorphic(pattern):
+            initial.add(pattern, "fuzz")
+    for step, view in enumerate(workload.views()):
+        for kappa, lambda_, adaptive, ks_alpha in SWAP_SETTINGS:
+            literal_set = initial.copy()
+            want = _literal_swap(
+                CoverageOracle(view),
+                literal_set,
+                patterns,
+                kappa,
+                lambda_,
+                adaptive,
+                ks_alpha=ks_alpha,
+            )
+            swapped_set = initial.copy()
+            outcome = MultiScanSwapper(
+                CoverageOracle(view),
+                kappa=kappa,
+                lambda_=lambda_,
+                ks_alpha=ks_alpha,
+                max_scans=SWAP_MAX_SCANS,
+                adaptive_kappa=adaptive,
+            ).run(swapped_set, patterns, provenance="literal")
+            got = {
+                "decisions": outcome.decisions,
+                "swaps": [
+                    (record.scan, record.removed_id, record.added_id)
+                    for record in outcome.swaps
+                ],
+                "rejected_sw1": outcome.rejected_sw1,
+                "rejected_quality": outcome.rejected_quality,
+                "terminated_by_sw2": outcome.terminated_by_sw2,
+                "candidates_considered": outcome.candidates_considered,
+                "scans": outcome.scans,
+            }
+            context = {
+                "view": step,
+                "kappa": kappa,
+                "lambda": lambda_,
+                "adaptive_kappa": adaptive,
+                "ks_alpha": ks_alpha,
+            }
+            for field_name, value in want.items():
+                if got[field_name] != value:
+                    return Mismatch(
+                        "swap",
+                        f"{field_name}_mismatch",
+                        {**context, "swapper": got[field_name],
+                         "literal": value},
+                    )
+            if _panel_signature(swapped_set) != _panel_signature(literal_set):
+                return Mismatch("swap", "final_panel_mismatch", context)
     return None
 
 
@@ -762,11 +996,13 @@ def ged_oracle(workload: Workload) -> Mismatch | None:
 
 
 def scov_oracle(workload: Workload) -> Mismatch | None:
-    """Insert-only covers grow.
+    """Insert-only covers grow, along the maintainer's successor chain.
 
-    A pure-insertion batch can only enlarge each cover set (and hence
-    ``set_scov``'s numerator), view over view, each view on its own
-    fresh oracle.
+    Each view's oracle is the previous view's
+    :meth:`~repro.patterns.metrics.CoverageOracle.successor`, as in a
+    maintenance round, and its covers must equal a fresh oracle's over
+    the same view.  A pure-insertion batch can only enlarge each cover
+    set (and hence ``set_scov``'s numerator), view over view.
     """
     views = list(workload.views())
     oracle = CoverageOracle(views[0])
@@ -775,8 +1011,21 @@ def scov_oracle(workload: Workload) -> Mismatch | None:
         pure_insert = not batch.removed and not (
             set(batch.added) & set(views[step])
         )
-        oracle = CoverageOracle(views[step + 1])
+        oracle = oracle.successor(views[step + 1])
         current = [oracle.cover(p) for p in workload.patterns]
+        fresh = CoverageOracle(views[step + 1])
+        for i, pattern in enumerate(workload.patterns):
+            if current[i] != fresh.cover(pattern):
+                return Mismatch(
+                    "scov",
+                    "carried_cover_vs_fresh",
+                    {
+                        "view": step + 1,
+                        "pattern": i,
+                        "carried": sorted(current[i]),
+                        "fresh": sorted(fresh.cover(pattern)),
+                    },
+                )
         for i, (before, after) in enumerate(zip(previous, current)):
             if pure_insert and not before <= after:
                 return Mismatch(
@@ -809,26 +1058,32 @@ def _snapshot_signature(snapshot) -> tuple:
 def serve_oracle(workload: Workload) -> Mismatch | None:
     """Published snapshots match a fresh oracle; pinned reads never drift.
 
-    Replays the workload as the serving layer does: every view builds
-    its own CoverageOracle and publishes one snapshot from it into a
-    :class:`~repro.serve.snapshot.SnapshotStore`, while a lease pinned
-    at each version stays held across all later publishes.  Checks
-    (a) each published snapshot's covers / scov / set_scov agree with a
-    second fresh per-view CoverageOracle, and (b) no pinned snapshot
-    changes, however many rounds commit after the pin — the
-    snapshot-isolation contract of ``docs/SERVING.md``.
+    Replays the workload as the serving layer does: each view's oracle
+    is the previous view's
+    :meth:`~repro.patterns.metrics.CoverageOracle.successor` (the
+    maintainer's chain, covers carried across views) and publishes one
+    snapshot into a :class:`~repro.serve.snapshot.SnapshotStore`, while
+    a lease pinned at each version stays held across all later
+    publishes.  Checks (a) each published snapshot's covers / scov /
+    set_scov agree with a fresh per-view CoverageOracle, and (b) no
+    pinned snapshot changes, however many rounds commit after the pin —
+    the snapshot-isolation contract of ``docs/SERVING.md``.
     """
     store = SnapshotStore()
     views = list(workload.views())
     patterns = list(enumerate(workload.patterns))
     graphs = [pattern for _, pattern in patterns]
     pinned: list[tuple] = []
+    oracle: CoverageOracle | None = None
     for step, view in enumerate(views):
+        oracle = (
+            CoverageOracle(view) if oracle is None else oracle.successor(view)
+        )
         snapshot = store.publish(
             build_snapshot(
                 step + 1,
                 ((i, pattern, "fuzz") for i, pattern in patterns),
-                CoverageOracle(view),
+                oracle,
                 database_size=len(view),
             )
         )
@@ -1038,6 +1293,21 @@ ORACLES: dict[str, Oracle] = {
             },
         ),
         Oracle(
+            "swap",
+            "multi-scan swap on per-panel state vs every (victim, "
+            "candidate) pair evaluated from scratch: verdicts and "
+            "reasons, swaps, rejection counts, final panel; adaptive "
+            "kappa on and off",
+            swap_oracle,
+            {
+                "num_graphs": 6,
+                "max_graph_vertices": 8,
+                "num_patterns": 8,
+                "max_pattern_edges": 4,
+                "num_batches": 1,
+            },
+        ),
+        Oracle(
             "generate",
             "candidate generation (walk tables, one growth per seed, "
             "heap frontier) vs the literal choices-per-step walk and "
@@ -1073,14 +1343,16 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "scov",
+            "successor-chain covers equal a fresh oracle's per view; "
             "covers monotone under pure insertion",
             scov_oracle,
             {"insert_only": True, "num_batches": 3},
         ),
         Oracle(
             "serve",
-            "published snapshots vs a fresh per-view oracle; pinned "
-            "snapshots never drift across later publishes",
+            "snapshots published from the successor chain vs a fresh "
+            "per-view oracle; pinned snapshots never drift across later "
+            "publishes",
             serve_oracle,
             {"num_graphs": 4, "num_batches": 2},
         ),
@@ -1114,6 +1386,8 @@ __all__ = [
     "GENERATE_BUDGET",
     "ORACLES",
     "Oracle",
+    "SWAP_MAX_SCANS",
+    "SWAP_SETTINGS",
     "get_oracle",
     "oracle_names",
 ]

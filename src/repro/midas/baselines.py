@@ -18,6 +18,7 @@ from ..catapult.pipeline import Catapult, CatapultConfig, CatapultPlusPlus
 from ..graph.database import BatchUpdate, GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..obs import Stopwatch
+from ..patterns.metrics import PanelCovers
 from ..patterns.pattern import PatternSet
 from .config import MidasConfig
 from .maintainer import MaintenanceReport, Midas
@@ -29,7 +30,9 @@ class RandomSwapMaintainer(Midas):
 
     name = "random"
 
-    def _run_swap(self, promising: list[LabeledGraph]) -> SwapOutcome:
+    def _run_swap(
+        self, promising: list[LabeledGraph], panel: PanelCovers
+    ) -> SwapOutcome:
         outcome = SwapOutcome()
         if not promising or len(self.patterns) == 0:
             return outcome

@@ -36,7 +36,7 @@ from ..execution import ExecutionConfig
 from ..graph.database import BatchUpdate, GraphDatabase
 from ..graph.labeled_graph import GraphError, LabeledGraph
 from ..obs import Stopwatch, capture, get_registry, span
-from ..patterns.metrics import CoverageOracle
+from ..patterns.metrics import PanelCovers
 from ..patterns.pattern import PatternSet
 from ..resilience.budget import budget_check
 from ..resilience.faults import trip
@@ -410,9 +410,10 @@ class Midas:
             sample_graphs = {
                 gid: graphs[gid] for gid in self.sampler.sample_ids
             }
-            self.oracle = CoverageOracle(
-                sample_graphs, index_pair=self.index_pair
-            )
+            # The new view's oracle carries the displayed patterns'
+            # covers (and every other cover of the last round) and
+            # verifies only the hosts the batch brought into the sample.
+            self.oracle = self.oracle.successor(sample_graphs)
 
         swap_outcome: SwapOutcome | None = None
         candidates_generated = 0
@@ -464,7 +465,7 @@ class Midas:
             trip("midas.swap")
             budget_check("midas.swap")
             with span("swap"):
-                swap_outcome = self._run_swap(promising)
+                swap_outcome = self._run_swap(promising, pruning.panel)
 
         # Line 12: reconcile the pattern-side (TP/EP) columns with the
         # possibly-swapped pattern set.
@@ -534,9 +535,13 @@ class Midas:
         )
 
     # ------------------------------------------------------------------
-    def _run_swap(self, promising: list[LabeledGraph]) -> SwapOutcome:
+    def _run_swap(
+        self, promising: list[LabeledGraph], panel: PanelCovers
+    ) -> SwapOutcome:
         """The pattern-update strategy; subclasses may override
-        (e.g. the Random baseline replaces it with random swapping)."""
+        (e.g. the Random baseline replaces it with random swapping).
+        *panel* holds the displayed patterns' covers, as pruning read
+        them."""
         config = self.config
         swapper = MultiScanSwapper(
             self.oracle,
@@ -548,7 +553,9 @@ class Midas:
             adaptive_kappa=config.adaptive_kappa,
             sigma_initial=config.sigma_initial,
         )
-        return swapper.run(self.patterns, promising, provenance=self.name)
+        return swapper.run(
+            self.patterns, promising, provenance=self.name, panel=panel
+        )
 
     # ------------------------------------------------------------------
     def pattern_graphs(self) -> list[LabeledGraph]:

@@ -24,11 +24,15 @@ from collections.abc import Iterable
 
 from ..graph.labeled_graph import EdgeLabel, LabeledGraph
 from ..index.maintenance import IndexPair
-from ..patterns.metrics import CoverageOracle
+from ..patterns.metrics import CoverageOracle, PanelCovers
 
 
 class PruningContext:
-    """Precomputed covers shared by the gate and the promising-FCP test."""
+    """Precomputed covers shared by the gate and the promising-FCP test.
+
+    ``panel`` holds the displayed patterns' covers; the maintainer hands
+    it on to the swap, which starts from the same panel.
+    """
 
     def __init__(
         self,
@@ -42,29 +46,14 @@ class PruningContext:
         self.oracle = oracle
         self.kappa = kappa
         self._index_pair = index_pair
-        self._patterns = list(patterns)
-        self._union_cover = oracle.union_cover(self._patterns)
-        self._min_unique = self._minimum_unique_cover()
+        self.panel = PanelCovers(oracle, patterns)
+        self._union_cover = self.panel.union
+        self._min_unique = self.panel.minimum_unique()
         self._edge_cover_cache: dict[EdgeLabel, frozenset[int]] = {}
         # Gate verdicts and priorities are pure in the context, which
         # lives for one round: memoised per label.
         self._gate_cache: dict[EdgeLabel, bool] = {}
         self._priority_cache: dict[EdgeLabel, float] = {}
-
-    # ------------------------------------------------------------------
-    def _minimum_unique_cover(self) -> int:
-        """``min_p |G_scov(p) ∖ ⋃_{p'≠p} G_scov(p')|`` over displayed P."""
-        if not self._patterns:
-            return 0
-        smallest = None
-        for i, pattern in enumerate(self._patterns):
-            others = self._patterns[:i] + self._patterns[i + 1 :]
-            unique = len(self.oracle.unique_cover(pattern, others))
-            if smallest is None or unique < smallest:
-                smallest = unique
-            if smallest == 0:
-                break
-        return smallest or 0
 
     @property
     def threshold(self) -> float:

@@ -85,5 +85,5 @@ class LogWeightedSwapper(MultiScanSwapper):
             self._weight_cache[key] = cached
         return cached
 
-    def _score(self, pattern: LabeledGraph, others) -> float:
-        return super()._score(pattern, others) * self._weight(pattern)
+    def _score(self, pattern: LabeledGraph, diversity) -> float:
+        return super()._score(pattern, diversity) * self._weight(pattern)

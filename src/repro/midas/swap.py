@@ -19,10 +19,16 @@ optionally following the SWAP_α schedule of Lemma 6.3 — until a scan
 performs no swap or the scan budget is exhausted.  Together the criteria
 guarantee the progressive-gain property: coverage strictly improves
 while diversity, cognitive load and label coverage never regress.
+
+Checks read per-panel state (:class:`_Panel`), built once per displayed
+panel and rebuilt after each executed swap, so one (victim, candidate)
+check costs O(k) for a panel of k patterns; docs/ALGORITHMS.md has the
+cost model.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..exceptions import ResilienceError
@@ -37,10 +43,7 @@ from ..resilience.degrade import (
     degradation_enabled,
     resilient_ged,
 )
-from ..patterns.metrics import (
-    CoverageOracle,
-    cognitive_load,
-)
+from ..patterns.metrics import CoverageOracle, PanelCovers, cognitive_load
 from ..patterns.pattern import PatternSet
 from ..utils.stats import ks_similarity
 
@@ -86,6 +89,10 @@ class SwapOutcome:
     # fidelity ladder instead of using the requested method.
     truncated: bool = False
     degraded_distances: int = 0
+    #: Every (victim, candidate) check in order: ``(scan, candidate
+    #: index in the input list, victim pattern ID, verdict)``, the
+    #: verdict being the first failed condition or ``"swap"``.
+    decisions: list[tuple[int, int, int, str]] = field(default_factory=list)
 
     @property
     def num_swaps(self) -> int:
@@ -126,9 +133,9 @@ class MultiScanSwapper:
         # Memo hits/misses, counted locally and published by run().
         self._ged_hits = 0
         self._ged_misses = 0
+        # (cog, scov × lcov) per graph object, for the current run.
+        self._graph_terms: dict[int, tuple[float, float]] = {}
 
-    # ------------------------------------------------------------------
-    # scores and set-level quality
     # ------------------------------------------------------------------
     def _distance(self, first: LabeledGraph, second: LabeledGraph) -> float:
         pair = tuple(
@@ -148,42 +155,6 @@ class MultiScanSwapper:
         else:
             self._ged_hits += 1
         return cached
-
-    def _diversity(
-        self, pattern: LabeledGraph, others: list[LabeledGraph]
-    ) -> float:
-        if not others:
-            return float(pattern.num_edges + pattern.num_vertices)
-        return min(self._distance(pattern, other) for other in others)
-
-    def _score(
-        self, pattern: LabeledGraph, others: list[LabeledGraph]
-    ) -> float:
-        load = cognitive_load(pattern)
-        if load <= 0:
-            return 0.0
-        return (
-            self.oracle.scov(pattern)
-            * self.oracle.lcov(pattern)
-            * self._diversity(pattern, others)
-            / load
-        )
-
-    def _set_quality(
-        self, patterns: list[LabeledGraph]
-    ) -> tuple[float, float, float]:
-        """(f_div, f_cog, f_lcov) of a prospective pattern set."""
-        if not patterns:
-            return 0.0, 0.0, 0.0
-        divs = []
-        for i, pattern in enumerate(patterns):
-            others = patterns[:i] + patterns[i + 1 :]
-            if others:
-                divs.append(self._diversity(pattern, others))
-        f_div = min(divs) if divs else 0.0
-        f_cog = max(cognitive_load(p) for p in patterns)
-        f_lcov = self.oracle.set_lcov(patterns)
-        return f_div, f_cog, f_lcov
 
     # ------------------------------------------------------------------
     def _prewarm_distances(
@@ -221,55 +192,29 @@ class MultiScanSwapper:
                 self._ged_cache[pair] = float(value)
 
     # ------------------------------------------------------------------
-    def _swap_allowed(
-        self,
-        pattern_set: PatternSet,
-        victim_id: int,
-        candidate: LabeledGraph,
-        kappa: float,
-        outcome: SwapOutcome,
-    ) -> tuple[bool, bool]:
-        """Evaluate sw1–sw5 + KS.  Returns (allowed, sw2_failed)."""
-        victim = pattern_set.get(victim_id).graph
-        current = [p.graph for p in pattern_set]
-        others = [
-            p.graph for p in pattern_set if p.pattern_id != victim_id
-        ]
-        prospective = others + [candidate]
+    def _score(
+        self, graph: LabeledGraph, diversity: Callable[[], float]
+    ) -> float:
+        """``s' = scov × lcov × div / cog`` of *graph*.
 
-        # sw2 first: it also terminates the scan.
-        score_victim = self._score(victim, others)
-        score_candidate = self._score(candidate, others)
-        if score_candidate < (1.0 + self.lambda_) * score_victim:
-            return False, True
-
-        # sw1: benefit vs loss on marginal set coverage.
-        benefit = self.oracle.benefit_score(candidate, current)
-        loss = self.oracle.loss_score(victim, others)
-        if benefit < (1.0 + kappa) * loss:
-            outcome.rejected_sw1 += 1
-            return False, False
-
-        # Size distribution similarity (KS test).
-        before_sizes = [p.num_edges for p in current]
-        after_sizes = [p.num_edges for p in prospective]
-        if not ks_similarity(before_sizes, after_sizes, self.ks_alpha):
-            outcome.rejected_quality += 1
-            return False, False
-
-        # sw3–sw5: set-level quality must not regress.
-        div_before, cog_before, lcov_before = self._set_quality(current)
-        div_after, cog_after, lcov_after = self._set_quality(prospective)
-        if div_after < div_before:
-            outcome.rejected_quality += 1
-            return False, False
-        if cog_after > cog_before:
-            outcome.rejected_quality += 1
-            return False, False
-        if lcov_after < lcov_before:
-            outcome.rejected_quality += 1
-            return False, False
-        return True, False
+        ``cog`` and ``scov × lcov`` are memoised per run; the product and
+        *diversity* (which yields ``div``) are evaluated only for a
+        positive load.  Subclasses may reweight the score (e.g. by a
+        query log).
+        """
+        terms = self._graph_terms.get(id(graph))
+        if terms is None:
+            load = cognitive_load(graph)
+            coverage = (
+                self.oracle.scov(graph) * self.oracle.lcov(graph)
+                if load > 0
+                else 0.0
+            )
+            terms = self._graph_terms[id(graph)] = (load, coverage)
+        load, coverage = terms
+        if load <= 0:
+            return 0.0
+        return coverage * diversity() / load
 
     # ------------------------------------------------------------------
     def run(
@@ -277,8 +222,12 @@ class MultiScanSwapper:
         pattern_set: PatternSet,
         candidates: list[LabeledGraph],
         provenance: str = "midas",
+        panel: PanelCovers | None = None,
     ) -> SwapOutcome:
         """Run up to ``max_scans`` scans, mutating *pattern_set* in place.
+
+        *panel*, when given, holds the covers of *pattern_set* as it is
+        now (the maintainer passes the one pruning built).
 
         The scan loop is *anytime*: every executed swap satisfied sw1–sw5
         when it happened, so if the ambient budget expires mid-run the
@@ -290,11 +239,10 @@ class MultiScanSwapper:
             return outcome
         self._prewarm_distances(pattern_set, candidates)
         ambient = current_budget()
-        sigma = self.sigma_initial
-        remaining = list(candidates)
+        self._graph_terms = {}
         try:
             outcome = self._run_scans(
-                pattern_set, remaining, provenance, outcome, sigma, ambient
+                pattern_set, candidates, provenance, outcome, panel, ambient
             )
         except ResilienceError:
             if not degradation_enabled():
@@ -302,6 +250,7 @@ class MultiScanSwapper:
             outcome.truncated = True
             anytime_degradation("midas.swap")
         finally:
+            self._graph_terms = {}
             self._flush_ged_counts()
         outcome.degraded_distances = self._degraded_distances
         registry = get_registry()
@@ -326,12 +275,16 @@ class MultiScanSwapper:
     def _run_scans(
         self,
         pattern_set: PatternSet,
-        remaining: list[LabeledGraph],
+        candidates: list[LabeledGraph],
         provenance: str,
         outcome: SwapOutcome,
-        sigma: float,
+        covers: PanelCovers | None,
         ambient,
     ) -> SwapOutcome:
+        position_of = {id(c): i for i, c in enumerate(candidates)}
+        remaining = list(candidates)
+        panel = _Panel(self, pattern_set, covers)
+        sigma = self.sigma_initial
         for scan in range(1, self.max_scans + 1):
             if ambient is not None:
                 ambient.check("midas.swap")
@@ -341,10 +294,7 @@ class MultiScanSwapper:
                 kappa = self.kappa
             outcome.scans = scan
             # Candidates in decreasing s', patterns in increasing s'.
-            pattern_graphs = [p.graph for p in pattern_set]
-            remaining.sort(
-                key=lambda c: -self._score(c, pattern_graphs)
-            )
+            remaining.sort(key=lambda c: -panel.candidate_score(c))
             swapped_this_scan = False
             terminated = False
             queue = list(remaining)
@@ -358,22 +308,13 @@ class MultiScanSwapper:
                 # Victims in increasing s' (the pattern priority queue);
                 # a candidate may skip a protected low-score victim and
                 # still swap out the next one.
-                victims = sorted(
-                    pattern_set.ids(),
-                    key=lambda pid: self._score(
-                        pattern_set.get(pid).graph,
-                        [
-                            p.graph
-                            for p in pattern_set
-                            if p.pattern_id != pid
-                        ],
-                    ),
-                )
-                for position, victim_id in enumerate(victims):
-                    allowed, sw2_failed = self._swap_allowed(
-                        pattern_set, victim_id, candidate, kappa, outcome
+                for position, slot in enumerate(panel.victim_order()):
+                    verdict = panel.check(slot, candidate, kappa)
+                    victim_id = panel.ids[slot]
+                    outcome.decisions.append(
+                        (scan, position_of[id(candidate)], victim_id, verdict)
                     )
-                    if sw2_failed:
+                    if verdict == "sw2":
                         # Candidates are sorted by decreasing s', so once
                         # the best remaining candidate cannot beat even
                         # the weakest pattern the whole scan is done
@@ -382,7 +323,11 @@ class MultiScanSwapper:
                             outcome.terminated_by_sw2 = True
                             terminated = True
                         break
-                    if not allowed:
+                    if verdict == "sw1":
+                        outcome.rejected_sw1 += 1
+                        continue
+                    if verdict != "swap":
+                        outcome.rejected_quality += 1
                         continue
                     removed = pattern_set.get(victim_id)
                     added = pattern_set.swap(
@@ -399,7 +344,230 @@ class MultiScanSwapper:
                     )
                     remaining.remove(candidate)
                     swapped_this_scan = True
+                    panel = _Panel(self, pattern_set)
                     break
             if not swapped_this_scan or terminated:
                 break
         return outcome
+
+
+class _Panel:
+    """The swap's view of one displayed panel, built once per panel.
+
+    Everything a (victim, candidate) check reads that depends on the
+    panel alone lives here: the slot-indexed k×k distance matrix, each
+    slot's s' and the victim order, each victim's loss, the union
+    cover, the set quality, per victim the label-cover union of the
+    other patterns, and KS verdicts keyed by (victim size, candidate
+    size).  A check then reads the candidate's k-entry distance row, so
+    it costs O(k) rather than the O(k²) set-quality rebuild of
+    evaluating each pair from scratch.  The swapper builds a new panel
+    after each executed swap.
+
+    Entries are filled on first use, so no GED is computed that the
+    per-pair evaluation would not compute, and a value that rests on a
+    degraded (budget-truncated) distance is never memoised: it is
+    recomputed on every read, as the per-pair evaluation does.
+    """
+
+    def __init__(
+        self,
+        swapper: MultiScanSwapper,
+        pattern_set: PatternSet,
+        covers: PanelCovers | None = None,
+    ) -> None:
+        self.swapper = swapper
+        self.oracle = swapper.oracle
+        self.ids = pattern_set.ids()
+        self.graphs = [pattern_set.get(pid).graph for pid in self.ids]
+        if covers is None:
+            covers = PanelCovers(self.oracle, self.graphs)
+        self.size = self.oracle.universe_size
+        self.union = covers.union
+        self.loss = [
+            len(unique) / self.size if self.size else 0.0
+            for unique in covers.unique
+        ]
+        k = len(self.graphs)
+        self._matrix: list[list[float | None]] = [[None] * k for _ in range(k)]
+        self._rows: dict[int, list[float | None]] = {}
+        self._benefit: dict[int, float] = {}
+        self._labels: dict[int, frozenset[int]] = {}
+        self._ks: dict[tuple[int, int], bool] = {}
+        self._memos: dict[tuple, object] = {}
+
+    # ------------------------------------------------------------------
+    def _memo(self, key: tuple, compute):
+        """``compute()``, memoised unless a distance it read degraded."""
+        value = self._memos.get(key)
+        if value is None:
+            mark = self.swapper._degraded_distances
+            value = compute()
+            if self.swapper._degraded_distances == mark:
+                self._memos[key] = value
+        return value
+
+    def _pair(self, row: list, j: int, first: LabeledGraph) -> float:
+        """Entry *j* of a distance row from *first* to slot *j*."""
+        value = row[j]
+        if value is None:
+            mark = self.swapper._degraded_distances
+            value = self.swapper._distance(first, self.graphs[j])
+            if self.swapper._degraded_distances == mark:
+                row[j] = value
+        return value
+
+    def distance(self, i: int, j: int) -> float:
+        value = self._pair(self._matrix[i], j, self.graphs[i])
+        if self._matrix[i][j] is not None:
+            self._matrix[j][i] = value
+        return value
+
+    def _row(self, candidate: LabeledGraph) -> list[float | None]:
+        row = self._rows.get(id(candidate))
+        if row is None:
+            row = self._rows[id(candidate)] = [None] * len(self.graphs)
+        return row
+
+    # ------------------------------------------------------------------
+    # scores
+    # ------------------------------------------------------------------
+    def _slot_diversity(self, slot: int) -> float:
+        if len(self.graphs) == 1:
+            graph = self.graphs[slot]
+            return float(graph.num_edges + graph.num_vertices)
+        return min(
+            self.distance(slot, j)
+            for j in range(len(self.graphs))
+            if j != slot
+        )
+
+    def slot_score(self, slot: int) -> float:
+        """``s'`` of the pattern in *slot* against the rest of the panel."""
+
+        return self._memo(
+            ("score", slot),
+            lambda: self.swapper._score(
+                self.graphs[slot], lambda: self._slot_diversity(slot)
+            ),
+        )
+
+    def victim_order(self) -> list[int]:
+        """Slots by increasing ``s'``, ties in pattern-ID order."""
+        return self._memo(
+            ("order",),
+            lambda: sorted(range(len(self.graphs)), key=self.slot_score),
+        )
+
+    def _row_minimum(
+        self, candidate: LabeledGraph, victim: int | None
+    ) -> float:
+        """Minimum distance from *candidate* to the panel's slots other
+        than *victim* (all slots for ``None``)."""
+        row = self._row(candidate)
+        return min(
+            self._pair(row, j, candidate)
+            for j in range(len(self.graphs))
+            if j != victim
+        )
+
+    def candidate_score(
+        self, candidate: LabeledGraph, victim: int | None = None
+    ) -> float:
+        """``s'`` of *candidate* against the panel, or against the
+        panel without slot *victim*."""
+
+        def diversity() -> float:
+            if victim is not None and len(self.graphs) == 1:
+                return float(candidate.num_edges + candidate.num_vertices)
+            return self._row_minimum(candidate, victim)
+
+        return self.swapper._score(candidate, diversity)
+
+    def quality(self) -> tuple[float, float, float]:
+        """(f_div, f_cog, f_lcov) of the panel."""
+
+        def compute() -> tuple[float, float, float]:
+            k = len(self.graphs)
+            f_div = (
+                min(self._slot_diversity(i) for i in range(k))
+                if k > 1
+                else 0.0
+            )
+            f_cog = max(cognitive_load(p) for p in self.graphs)
+            return f_div, f_cog, self.oracle.set_lcov(self.graphs)
+
+        return self._memo(("quality",), compute)
+
+    def _prospective_lcov(
+        self, victim: int, candidate: LabeledGraph
+    ) -> float:
+        """f_lcov of the panel with *victim* swapped for *candidate*."""
+        if not self.size:
+            return 0.0
+        labels = self._labels.get(victim)
+        if labels is None:
+            covered: set[int] = set()
+            for j, pattern in enumerate(self.graphs):
+                if j != victim:
+                    covered |= self.oracle.label_cover(pattern)
+            labels = self._labels[victim] = frozenset(covered)
+        return len(labels | self.oracle.label_cover(candidate)) / self.size
+
+    def _ks_similar(self, victim: int, candidate: LabeledGraph) -> bool:
+        key = (self.graphs[victim].num_edges, candidate.num_edges)
+        verdict = self._ks.get(key)
+        if verdict is None:
+            before = [p.num_edges for p in self.graphs]
+            after = [
+                p.num_edges for j, p in enumerate(self.graphs) if j != victim
+            ] + [candidate.num_edges]
+            verdict = self._ks[key] = ks_similarity(
+                before, after, self.swapper.ks_alpha
+            )
+        return verdict
+
+    def _benefit_of(self, candidate: LabeledGraph) -> float:
+        benefit = self._benefit.get(id(candidate))
+        if benefit is None:
+            gained = self.oracle.cover(candidate) - self.union
+            benefit = len(gained) / self.size if self.size else 0.0
+            self._benefit[id(candidate)] = benefit
+        return benefit
+
+    # ------------------------------------------------------------------
+    def check(
+        self, victim: int, candidate: LabeledGraph, kappa: float
+    ) -> str:
+        """sw2 → sw1 → KS → sw3 → sw4 → sw5 for swapping the pattern in
+        slot *victim* for *candidate*.
+
+        Returns the first failed condition (``"sw2"``, ``"sw1"``,
+        ``"ks"``, ``"sw3"``, ``"sw4"``, ``"sw5"``) or ``"swap"``.
+        """
+        # sw2 first: it also terminates the scan.
+        score_victim = self.slot_score(victim)
+        score_candidate = self.candidate_score(candidate, victim)
+        if score_candidate < (1.0 + self.swapper.lambda_) * score_victim:
+            return "sw2"
+        # sw1: benefit vs loss on marginal set coverage.
+        if self._benefit_of(candidate) < (1.0 + kappa) * self.loss[victim]:
+            return "sw1"
+        # Size distribution similarity (KS test).
+        if not self._ks_similar(victim, candidate):
+            return "ks"
+        # sw3–sw5: set-level quality must not regress.  The other
+        # patterns' pairs and loads are part of the panel's, so they can
+        # neither pull f_div below the panel's nor push f_cog above it:
+        # only the candidate's distances and load can.
+        div_before, cog_before, lcov_before = self.quality()
+        if (
+            len(self.graphs) > 1
+            and self._row_minimum(candidate, victim) < div_before
+        ):
+            return "sw3"
+        if cognitive_load(candidate) > cog_before:
+            return "sw4"
+        if self._prospective_lcov(victim, candidate) < lcov_before:
+            return "sw5"
+        return "swap"

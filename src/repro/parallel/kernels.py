@@ -38,18 +38,18 @@ def contains_view_kernel(payload, chunk):
     """``chunk``: graph IDs; payload: the view handle.
 
     Returns one containment verdict (pattern ⊆ host) per item.  The
-    payload is ``(view_id, generation, pattern)`` and hosts are looked
-    up in the fork-inherited :mod:`repro.parallel.shared` registry, so
-    a fan-out ships only graph IDs — never the host graphs themselves.
-    A worker whose inherited view is missing or at the wrong generation
-    raises rather than answering from stale graphs; the pool's
-    epoch-stamped refork makes that unreachable in normal operation.
+    payload is ``(view_id, pattern)`` and hosts are looked up in the
+    fork-inherited :mod:`repro.parallel.shared` registry, so a fan-out
+    ships only graph IDs — never the host graphs themselves.  A worker
+    whose inherited registry lacks the view raises rather than
+    guessing; the pool's epoch-stamped refork makes that unreachable in
+    normal operation.
     """
     from ..isomorphism.matcher import contains
     from .shared import resolve_view
 
-    view_id, generation, pattern = payload
-    graphs = resolve_view(view_id, generation).graphs
+    view_id, pattern = payload
+    graphs = resolve_view(view_id).graphs
     return [contains(graphs[graph_id], pattern) for graph_id in chunk]
 
 

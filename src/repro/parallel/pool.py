@@ -39,7 +39,7 @@ host-graph views without pickling them (tasks carry only graph IDs).
 Because children see a frozen copy of the parent,
 the pool stamps the :func:`~repro.parallel.shared.view_epoch` it forked
 at and transparently restarts its workers when a view has been
-republished since (``parallel.worker_restarts``) — once per committed
+published since (``parallel.worker_restarts``) — once per committed
 batch, not per fan-out.
 
 Each task is shipped as one pre-pickled envelope and its size recorded
@@ -224,12 +224,12 @@ class KernelPool:
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
-        """The live executor, reforked if a host view was republished.
+        """The live executor, reforked if a host view was published since.
 
         Children inherit :mod:`repro.parallel.shared`'s view registry at
         fork time; a publish after that leaves them stale, so the pool
-        restarts them — at most once per committed batch, because only
-        republishing bumps the epoch.
+        restarts them — at most once per committed batch, because each
+        batch's oracle publishes one view.
         """
         if (
             self._executor is not None

@@ -8,18 +8,17 @@ zero-copy alternative on fork platforms:
 1. The parent process *publishes* a view — a dict of host graphs —
    into this module's process-global registry (:func:`publish_view`).
 2. Forked workers inherit the registry (copy-on-write pages, no
-   pickling); a kernel resolves its graphs by ``(view_id, generation)``
-   with :func:`resolve_view` and receives only graph IDs per task.
-3. After a committed batch mutates the view, the owner republishes it:
-   the view's **generation** counter advances and the module-wide
-   **epoch** advances with it.  The pool compares the epoch it forked
-   at against the current one before each fan-out and restarts its
-   workers when stale, so children never compute against a superseded
-   view; ``resolve_view`` double-checks the generation inside the
-   worker and fails loudly rather than answer from stale state.
+   pickling); a kernel resolves its graphs by ``view_id`` with
+   :func:`resolve_view` and receives only graph IDs per task.
+3. A view is never mutated: a committed batch gets a new oracle, which
+   publishes a new view.  Every publish advances the module-wide
+   **epoch**; the pool compares the epoch it forked at against the
+   current one before each fan-out and restarts its workers when
+   stale, so children always hold every live view, and
+   ``resolve_view`` fails loudly inside a worker that lacks one.
 
 Views are process-local state, deliberately excluded from pickling
-(publishers drop their tokens in ``__getstate__`` and republish
+(publishers drop their tokens in ``__getstate__`` and publish again
 lazily), so pickled or deep-copied owners — e.g. the transactional
 snapshots taken by ``Midas.apply_update`` — get fresh views instead of
 aliasing a live one.
@@ -41,41 +40,28 @@ class HostView:
     """One published read-only view of host graphs."""
 
     view_id: int
-    generation: int
     graphs: Mapping[int, object] = field(repr=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<HostView id={self.view_id} gen={self.generation} "
-            f"|D|={len(self.graphs)}>"
-        )
+        return f"<HostView id={self.view_id} |D|={len(self.graphs)}>"
 
 
 _views: dict[int, HostView] = {}
 _next_view_id = 0
-_next_generation = 0
 _epoch = 0
 
 
-def publish_view(
-    graphs: Mapping[int, object], view_id: int | None = None
-) -> HostView:
-    """Publish (or republish) *graphs* as a fork-inherited view.
+def publish_view(graphs: Mapping[int, object]) -> HostView:
+    """Publish *graphs* as a fork-inherited view under a new ID.
 
-    Passing an existing *view_id* replaces that view under a fresh
-    generation — how an owner invalidates workers after a committed
-    batch.  Every publish bumps the module epoch, which tells pools
-    their forked children predate the current state.
+    Every publish bumps the module epoch, which tells pools their
+    forked children predate the current state.
     """
-    global _next_view_id, _next_generation, _epoch
-    if view_id is None:
-        view_id = _next_view_id
-        _next_view_id += 1
-    _next_generation += 1
+    global _next_view_id, _epoch
+    view_id = _next_view_id
+    _next_view_id += 1
     _epoch += 1
-    view = HostView(
-        view_id=view_id, generation=_next_generation, graphs=graphs
-    )
+    view = HostView(view_id=view_id, graphs=graphs)
     _views[view_id] = view
     registry = get_registry()
     registry.counter("parallel.view_publishes").add(1)
@@ -104,24 +90,18 @@ def view_epoch() -> int:
     return _epoch
 
 
-def resolve_view(view_id: int, generation: int) -> HostView:
-    """Worker-side lookup of a view, validated against *generation*.
+def resolve_view(view_id: int) -> HostView:
+    """Worker-side lookup of a view.
 
     Raises ``RuntimeError`` when the worker's inherited registry does
-    not hold exactly the requested generation — the belt-and-braces
-    guard under the pool's epoch-based restart: a stale worker must
-    fail loudly, never answer from superseded graphs.
+    not hold the view — the belt-and-braces guard under the pool's
+    epoch-based restart: a stale worker must fail loudly, never guess.
     """
     view = _views.get(view_id)
     if view is None:
         raise RuntimeError(
             f"host view {view_id} is not present in this worker "
             "(forked before it was published?)"
-        )
-    if view.generation != generation:
-        raise RuntimeError(
-            f"host view {view_id} is at generation {view.generation}, "
-            f"task expects {generation} (stale worker)"
         )
     return view
 

@@ -16,14 +16,18 @@ Implements every measure of Sections 2.2 and 6.1:
 :class:`CoverageOracle` is the workhorse: it memoises the cover set of
 each pattern (by canonical key) over a fixed sample of the database,
 optionally routing through the FCT/IFE containment prefilter so repeated
-swap evaluations stay cheap.  An oracle's view is fixed at construction:
-a database batch gets a fresh oracle over the new view.
+swap evaluations stay cheap.  An oracle's view is fixed at construction.
+A database batch gets the previous oracle's :meth:`CoverageOracle.successor`
+over the new view: it carries every complete cover and updates one on
+first request by verifying only the hosts new to the view, so a round
+pays for the batch, not for the sample.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterable, Mapping, Set
+from collections import Counter
+from collections.abc import Collection, Iterable, Mapping, Set
 
 from ..cache.stores import cached_ged_value, caching_enabled, get_caches
 from ..graph.canonical import canonical_certificate
@@ -102,6 +106,11 @@ class CoverageOracle:
         self._index_pair = index_pair
         self._cover_cache: dict[tuple, frozenset[int]] = {}
         self._lcov_cache: dict[tuple, frozenset[int]] = {}
+        # Covers carried from the previous view by successor(): valid on
+        # the ``_stable`` hosts, still to be verified on ``_fresh`` ones.
+        self._carried: dict[tuple, frozenset[int]] = {}
+        self._stable: frozenset[int] = frozenset()
+        self._fresh: tuple[int, ...] = ()
         # Token of this oracle's published host view (repro.parallel.shared),
         # allocated lazily on the first parallel verification.
         self._view_token: int | None = None
@@ -122,8 +131,40 @@ class CoverageOracle:
         # Checkpoints written with the retired coverage engine switched
         # on carry it as ``_engine``; its covers equal the full scan's,
         # so the memo tables stay valid and the engine is dropped.
+        # Oracles pickled before covers were carried have no carried
+        # state: they start with none.
         state.pop("_engine", None)
+        state.setdefault("_carried", {})
+        state.setdefault("_stable", frozenset())
+        state.setdefault("_fresh", ())
         self.__dict__.update(state)
+
+    def successor(
+        self, graphs: Mapping[int, LabeledGraph]
+    ) -> "CoverageOracle":
+        """An oracle over a new view that carries this oracle's covers.
+
+        Every complete cover memoised here moves to the new oracle and
+        is updated on its first request: ``cover ∩ stable`` plus the
+        verdicts (through the FCT/IFE prefilter) of the hosts that are
+        new to the view.  A host is stable when the new view holds the
+        very graph object this view held under its ID; the database
+        never rebinds a graph ID, so after a batch only inserted and
+        newly sampled hosts are verified.  Covers carried here but
+        never requested are not carried further, so the memo stays
+        bounded by one view's entries, and the new oracle keeps no
+        reference to this one.
+        """
+        stable = frozenset(
+            graph_id
+            for graph_id, graph in graphs.items()
+            if self._graphs.get(graph_id) is graph
+        )
+        following = CoverageOracle(graphs, index_pair=self._index_pair)
+        following._stable = stable
+        following._fresh = tuple(sorted(set(graphs) - stable))
+        following._carried = dict(self._cover_cache)
+        return following
 
     @property
     def universe_size(self) -> int:
@@ -144,12 +185,26 @@ class CoverageOracle:
         VF2 tests actually executed.
         """
         key = canonical_certificate(pattern)
-        cached = self._cover_cache.get(key)
+        cached = self._complete_cover(key, pattern)
         if cached is not None:
             return cached
-        result = self._scan_cover(pattern)
+        result = self._scan_cover(pattern, self._graphs)
         self._cover_cache[key] = result
         return result
+
+    def _complete_cover(
+        self, key: tuple, pattern: LabeledGraph
+    ) -> frozenset[int] | None:
+        """The memoised cover, updating a carried one on first request."""
+        cover = self._cover_cache.get(key)
+        if cover is None:
+            carried = self._carried.pop(key, None)
+            if carried is not None:
+                cover = (carried & self._stable) | self._scan_cover(
+                    pattern, self._fresh
+                )
+                self._cover_cache[key] = cover
+        return cover
 
     def marginal_reaches(
         self,
@@ -159,16 +214,17 @@ class CoverageOracle:
     ) -> bool:
         """Whether ``|G_scov(p) ∖ excluded| ≥ threshold`` in this view.
 
-        Answers from the cached cover when there is one.  Otherwise
-        only the hosts outside *excluded* can contribute, so VF2 runs
-        on those alone, in ascending id order, and stops as soon as the
-        answer is decided: once the hits reach *threshold*, or once the
-        hits plus the hosts still untested fall short of it.  Partial
-        verdicts feed the embedding cache and ``isomorphism_tests`` but
-        never the cover memo, which holds only complete covers.
+        Answers from the memoised (or carried) cover when there is one.
+        Otherwise only the hosts outside *excluded* can contribute, so
+        VF2 runs on those alone, in ascending id order, and stops as
+        soon as the answer is decided: once the hits reach *threshold*,
+        or once the hits plus the hosts still untested fall short of
+        it.  Partial verdicts feed the embedding cache and
+        ``isomorphism_tests`` but never the cover memo, which holds
+        only complete covers.
         """
         key = canonical_certificate(pattern)
-        cover = self._cover_cache.get(key)
+        cover = self._complete_cover(key, pattern)
         if cover is not None:
             return len(cover - excluded) >= threshold
         residual = sorted(gid for gid in self._graphs if gid not in excluded)
@@ -189,14 +245,16 @@ class CoverageOracle:
             hits += verdict
         return hits >= threshold
 
-    def _scan_cover(self, pattern: LabeledGraph) -> frozenset[int]:
-        """FCT/IFE prefilter (when indexed) + full verification."""
+    def _scan_cover(
+        self, pattern: LabeledGraph, hosts: Collection[int]
+    ) -> frozenset[int]:
+        """FCT/IFE prefilter (when indexed) + verification of *hosts*."""
+        if not hosts:
+            return frozenset()
         if self._index_pair is not None:
-            candidates = self._index_pair.candidate_graphs(
-                pattern, self._graphs
-            )
+            candidates = self._index_pair.candidate_graphs(pattern, hosts)
         else:
-            candidates = set(self._graphs)
+            candidates = set(hosts)
         caches = get_caches() if caching_enabled() else None
         covered = set()
         pending: list[int] = []
@@ -217,23 +275,20 @@ class CoverageOracle:
         return frozenset(covered)
 
     def _host_view(self) -> shared.HostView:
-        """This oracle's live published host view (publish on first use).
+        """This oracle's published host view (publish on first use).
 
         Parallel verification ships only graph IDs; workers resolve the
-        graphs from the fork-inherited view this returns.  The token is
-        allocated once and retired when the oracle is garbage-collected;
-        a fresh oracle publishes a new view, and the epoch bump restarts
-        workers forked before it.
+        graphs from the fork-inherited view this returns.  The view is
+        retired when the oracle is garbage-collected; a new oracle
+        publishes its own view, and the epoch bump restarts workers
+        forked before it.
         """
-        if self._view_token is not None:
-            view = shared.get_view(self._view_token)
-            if view is not None and view.graphs is self._graphs:
-                return view
-        view = shared.publish_view(self._graphs, view_id=self._view_token)
         if self._view_token is None:
+            view = shared.publish_view(self._graphs)
             self._view_token = view.view_id
             weakref.finalize(self, shared.retire_view, view.view_id)
-        return view
+            return view
+        return shared.get_view(self._view_token)
 
     def _verify(
         self,
@@ -253,7 +308,7 @@ class CoverageOracle:
             verdicts = pool.map(
                 contains_view_kernel,
                 pending,
-                payload=(view.view_id, view.generation, pattern),
+                payload=(view.view_id, pattern),
             )
         else:
             verdicts = [
@@ -347,6 +402,33 @@ class CoverageOracle:
             return 0.0
         gained = self.cover(candidate) - self.union_cover(current)
         return len(gained) / len(self._graphs)
+
+
+class PanelCovers:
+    """The covers of one displayed panel, computed once per panel.
+
+    Slots follow the order of *patterns*.  ``unique[i]`` is
+    ``G_scov(p_i) ∖ ⋃_{j≠i} G_scov(p_j)`` (Definition 5.5), read off
+    host multiplicities in one pass instead of one union per slot.
+    Pruning and the swap's loss scores both read these values.
+    """
+
+    def __init__(
+        self, oracle: CoverageOracle, patterns: Iterable[LabeledGraph]
+    ) -> None:
+        self.covers = [oracle.cover(pattern) for pattern in patterns]
+        multiplicity: Counter[int] = Counter()
+        for cover in self.covers:
+            multiplicity.update(cover)
+        self.union = frozenset(multiplicity)
+        self.unique = [
+            frozenset(gid for gid in cover if multiplicity[gid] == 1)
+            for cover in self.covers
+        ]
+
+    def minimum_unique(self) -> int:
+        """``min_p |G_scov(p) ∖ ⋃_{p'≠p} G_scov(p')|``; 0 for no slots."""
+        return min((len(unique) for unique in self.unique), default=0)
 
 
 # ----------------------------------------------------------------------

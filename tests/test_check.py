@@ -162,6 +162,7 @@ class TestOracleRegistry:
             "scov",
             "serve",
             "store",
+            "swap",
             "vf2",
         }
 

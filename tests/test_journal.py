@@ -44,9 +44,11 @@ from repro.journal import (
 from repro.journal.records import TornTail, encode_record
 from repro.journal.segments import SEGMENT_PATTERN
 from repro.midas import MidasConfig
-from repro.patterns import PatternBudget
+from repro.patterns import CoverageOracle, PatternBudget
 from repro.resilience import Fault, inject_faults
 from repro.serve.service import PatternService
+
+from .conftest import make_graph
 
 
 def make_midas(seed: int = 5):
@@ -344,6 +346,47 @@ class TestCheckpoint:
         report = revived.apply_update(family_injection(4, seed=2))
         assert not report.aborted
         assert len(revived.database) == size + 4
+
+    def test_checkpoint_with_an_oracle_from_before_carried_covers_loads(
+        self, tmp_path
+    ):
+        """Checkpoints written before covers were carried across views
+        pickle an oracle without the carried state.  Such a maintainer
+        loads, answers cover() and keeps running rounds, whose oracle
+        is the loaded one's successor."""
+        midas = make_midas()
+        covers = {
+            p.pattern_id: midas.oracle.cover(p.graph) for p in midas.patterns
+        }
+        for name in ("_carried", "_stable", "_fresh"):
+            delattr(midas.oracle, name)
+        write_checkpoint(
+            tmp_path,
+            checkpoint_id=0,
+            midas=midas,
+            version=1,
+            last_update_id=0,
+            next_update_id=1,
+        )
+        revived = load_latest_checkpoint(tmp_path).midas
+        assert {
+            p.pattern_id: revived.oracle.cover(p.graph)
+            for p in revived.patterns
+        } == covers
+        unmemoised = make_graph("CCO", [(0, 1), (1, 2)])
+        assert revived.oracle.cover(unmemoised) == CoverageOracle(
+            {gid: revived.database[gid] for gid in revived.oracle.graph_ids()}
+        ).cover(unmemoised)
+        report = revived.apply_update(family_injection(4, seed=2))
+        assert not report.aborted
+        sample = {
+            gid: revived.database[gid] for gid in revived.sampler.sample_ids
+        }
+        fresh = CoverageOracle(sample)
+        for pattern in revived.patterns:
+            assert revived.oracle.cover(pattern.graph) == fresh.cover(
+                pattern.graph
+            )
 
     def test_pickled_execution_config_with_covindex_loads(self):
         legacy = ExecutionConfig(workers=2, cache=True)

@@ -141,3 +141,55 @@ class TestMultiScanSwapper:
             for pattern in pattern_set:
                 if pattern.pattern_id in swapped_ids:
                     assert pattern.provenance == "test-run"
+
+    def test_degraded_distances_are_never_memoised(self, oracle):
+        """A run whose every distance comes back degraded decides as a
+        full-fidelity run with the same values, but asks for a distance
+        again on every read instead of memoising it or a value computed
+        from it."""
+        from repro.ged import ged
+
+        class Counting(MultiScanSwapper):
+            degrade = False
+            calls = 0
+
+            def _distance(self, first, second):
+                self.calls += 1
+                if self.degrade:
+                    self._degraded_distances += 1
+                    return float(ged(first, second, method=self.ged_method))
+                return super()._distance(first, second)
+
+        class Degraded(Counting):
+            degrade = True
+
+        panel = [
+            make_graph("CSS", [(0, 1), (0, 2)]),
+            make_graph("CON", [(0, 1), (0, 2)]),
+            make_graph("COS", [(0, 1), (1, 2)]),
+        ]
+        candidates = [
+            make_graph("COO", [(0, 1), (0, 2)]),
+            make_graph("COS", [(0, 1), (0, 2)]),
+            make_graph("CN", [(0, 1)]),
+        ]
+        runs = []
+        for kind in (Counting, Degraded):
+            swapper = kind(oracle, kappa=0.0, lambda_=0.0)
+            pattern_set = build_set(*panel)
+            outcome = swapper.run(pattern_set, candidates)
+            runs.append((swapper, outcome, _ids(pattern_set)))
+        (full, full_outcome, full_panel), (
+            degraded,
+            degraded_outcome,
+            degraded_panel,
+        ) = runs
+        assert full_outcome.decisions, "the run must check some pairs"
+        assert degraded_outcome.decisions == full_outcome.decisions
+        assert degraded_panel == full_panel
+        assert degraded_outcome.degraded_distances == degraded.calls
+        assert degraded.calls > full.calls
+
+
+def _ids(pattern_set):
+    return [(p.pattern_id, p.key) for p in pattern_set]

@@ -286,28 +286,27 @@ class TestNoForkDegradation:
 
 
 class TestHostViews:
-    def test_resolve_view_validates_generation(self):
+    def test_resolve_missing_view_fails_loudly(self):
         view = publish_view({0: make_graph("C", [])})
         try:
-            assert resolve_view(view.view_id, view.generation) is view
-            with pytest.raises(RuntimeError, match="generation"):
-                resolve_view(view.view_id, view.generation + 1)
+            assert resolve_view(view.view_id) is view
         finally:
             retire_view(view.view_id)
         with pytest.raises(RuntimeError, match="not present"):
-            resolve_view(view.view_id, view.generation)
+            resolve_view(view.view_id)
 
-    def test_republish_bumps_generation_and_epoch(self):
+    def test_publish_allocates_a_new_view_and_bumps_epoch(self):
         view = publish_view({0: make_graph("C", [])})
         try:
             epoch = view_epoch()
-            fresh = publish_view(
-                {0: make_graph("N", [])}, view_id=view.view_id
-            )
-            assert fresh.view_id == view.view_id
-            assert fresh.generation > view.generation
-            assert view_epoch() == epoch + 1
-            assert get_view(view.view_id) is fresh
+            fresh = publish_view({0: make_graph("N", [])})
+            try:
+                assert fresh.view_id != view.view_id
+                assert view_epoch() == epoch + 1
+                assert get_view(view.view_id) is view
+                assert get_view(fresh.view_id) is fresh
+            finally:
+                retire_view(fresh.view_id)
         finally:
             retire_view(view.view_id)
 
@@ -335,7 +334,7 @@ class TestPersistentViewWorkers:
                 view_verdicts = pool.map(
                     contains_view_kernel,
                     ids,
-                    payload=(view.view_id, view.generation, pattern),
+                    payload=(view.view_id, pattern),
                 )
                 view_bytes = (
                     registry.counter("parallel.bytes_pickled").value - before
@@ -350,9 +349,10 @@ class TestPersistentViewWorkers:
         items = sorted(hosts)
         registry = get_registry()
         view = publish_view(hosts)
+        first_view = view
         try:
             with KernelPool(2, force=True) as pool:
-                payload = (view.view_id, view.generation, pattern)
+                payload = (view.view_id, pattern)
                 first = pool.map(contains_view_kernel, items, payload=payload)
                 restarts = registry.counter("parallel.worker_restarts").value
                 # Same epoch: the executor is reused, no restart.
@@ -364,8 +364,8 @@ class TestPersistentViewWorkers:
                     registry.counter("parallel.worker_restarts").value
                     == restarts
                 )
-                view = publish_view(hosts, view_id=view.view_id)
-                payload = (view.view_id, view.generation, pattern)
+                view = publish_view(hosts)
+                payload = (view.view_id, pattern)
                 assert (
                     pool.map(contains_view_kernel, items, payload=payload)
                     == first
@@ -375,30 +375,30 @@ class TestPersistentViewWorkers:
                     == restarts + 1
                 )
         finally:
+            retire_view(first_view.view_id)
             retire_view(view.view_id)
 
-    def test_stale_generation_fails_loudly_in_worker(self, hosts):
+    def test_retired_view_fails_loudly_in_worker(self, hosts):
         pattern = make_graph("CC", [(0, 1)])
         items = sorted(hosts)
         view = publish_view(hosts)
-        try:
-            with KernelPool(2, force=True) as pool:
-                stale_payload = (view.view_id, view.generation, pattern)
-                view = publish_view(hosts, view_id=view.view_id)
-                # Workers refork at the new epoch and see the new
-                # generation; the stale task must raise, not answer.
-                with pytest.raises(RuntimeError, match="generation"):
-                    pool.map(
-                        contains_view_kernel, items, payload=stale_payload
-                    )
-        finally:
-            retire_view(view.view_id)
+        retire_view(view.view_id)
+        with KernelPool(2, force=True) as pool:
+            # Workers forked after the retirement lack the view; the
+            # task must raise, not answer.
+            with pytest.raises(RuntimeError, match="not present"):
+                pool.map(
+                    contains_view_kernel,
+                    items,
+                    payload=(view.view_id, pattern),
+                )
 
     def test_oracle_fanout_restarts_once_per_committed_batch(self):
         """End to end: CoverageOracle publishes its view once, the
-        oracle a committed batch builds over the new view publishes its
-        own, and its first fan-out restarts the workers exactly once —
-        with covers matching a fresh serial oracle over that view."""
+        successor a committed batch builds over the new view publishes
+        its own, and its first fan-out (the new hosts of the carried
+        cover) restarts the workers exactly once — with covers matching
+        a fresh serial oracle over that view."""
         from repro.datasets import aids_like
         from repro.patterns.metrics import CoverageOracle
 
@@ -415,7 +415,7 @@ class TestPersistentViewWorkers:
                 (max(hosts) + 1 + i, graph)
                 for i, graph in enumerate(extra.values())
             )
-            second = CoverageOracle(final_view).cover(pattern)
+            second = oracle.successor(final_view).cover(pattern)
             assert (
                 registry.counter("parallel.worker_restarts").value
                 == restarts + 1

@@ -1,7 +1,15 @@
 """Unit tests for repro.patterns (pattern set, budget, metrics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api
+from repro.datasets import aids_like, family_injection
+from repro.exceptions import RolledBack
+from repro.graph.database import BatchUpdate
+from repro.index.maintenance import IndexPair
+from repro.midas.config import MidasConfig
 from repro.patterns import (
     CannedPattern,
     CoverageOracle,
@@ -13,6 +21,9 @@ from repro.patterns import (
     midas_pattern_score,
     pattern_set_quality,
 )
+from repro.resilience.faults import Fault, inject_faults
+from repro.trees.maintenance import FCTSet
+from repro.utils.sampling import LazySampler
 
 from .conftest import make_graph
 
@@ -218,3 +229,109 @@ class TestCoverageOracle:
 
     def test_quality_empty_set(self, oracle):
         assert pattern_set_quality(PatternSet(), oracle)["score"] == 0.0
+
+
+#: Patterns over the aids-like alphabet, from single edges to branches.
+CHAIN_PATTERNS = (
+    make_graph("CC", [(0, 1)]),
+    make_graph("CO", [(0, 1)]),
+    make_graph("CN", [(0, 1)]),
+    make_graph("CS", [(0, 1)]),
+    make_graph("CCO", [(0, 1), (1, 2)]),
+    make_graph("CCN", [(0, 1), (1, 2)]),
+    make_graph("NCO", [(0, 1), (1, 2)]),
+    make_graph("CCCC", [(0, 1), (1, 2), (1, 3)]),
+)
+
+
+class TestCarriedCovers:
+    """Covers carried along ``CoverageOracle.successor`` equal a fresh
+    oracle's over the same view."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), indexed=st.booleans())
+    def test_successor_chain_equals_fresh(self, data, indexed):
+        pool = list(aids_like(24, seed=3).graphs())
+        database = {gid: pool[gid] for gid in range(8)}
+        next_id = len(database)
+        # A sample below the universe, so reservoir eviction happens.
+        sampler = LazySampler(database, max_size=5, seed=data.draw(st.integers(0, 9)))
+        fct_set = pair = None
+        if indexed:
+            fct_set = FCTSet(database, sup_min=0.4)
+            pair = IndexPair.build(fct_set, database)
+
+        def view():
+            return {gid: database[gid] for gid in sampler.sample_ids}
+
+        oracle = CoverageOracle(view(), index_pair=pair)
+        for _ in range(data.draw(st.integers(1, 5))):
+            # Patterns are requested at random rounds, so some carried
+            # covers skip rounds before they are asked for again.
+            requested = data.draw(
+                st.sets(st.sampled_from(range(len(CHAIN_PATTERNS))))
+            )
+            fresh = CoverageOracle(view())
+            for index in sorted(requested):
+                pattern = CHAIN_PATTERNS[index]
+                assert oracle.cover(pattern) == fresh.cover(pattern)
+            removed = data.draw(
+                st.lists(
+                    st.sampled_from(sorted(database)),
+                    unique=True,
+                    max_size=len(database) // 2,
+                )
+            )
+            inserted = data.draw(
+                st.lists(st.sampled_from(range(len(pool))), max_size=3)
+            )
+            for gid in removed:
+                del database[gid]
+            added = {}
+            for index in inserted:
+                added[next_id] = database[next_id] = pool[index]
+                next_id += 1
+            if indexed:
+                fct_set.apply(added=added, removed=set(removed))
+                pair.apply_update(fct_set, database, list(added), removed)
+            sampler.remove_ids(removed)
+            sampler.add_ids(list(added))
+            oracle = oracle.successor(view())
+        fresh = CoverageOracle(view())
+        for pattern in CHAIN_PATTERNS:
+            assert oracle.cover(pattern) == fresh.cover(pattern)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 50), min_size=3, max_size=3))
+    def test_rolled_back_round_leaves_fresh_equal_covers(self, seeds):
+        config = MidasConfig(
+            budget=PatternBudget(3, 5, 5),
+            num_clusters=3,
+            sample_cap=14,
+            seed=5,
+            epsilon=0.0,
+        )
+        midas = api.bootstrap(aids_like(20, seed=11), config=config)
+
+        def family(seed):
+            batch = family_injection(3, seed=seed)
+            gone = sorted(midas.database.ids())[seed % 7 :: 9][:2]
+            return BatchUpdate(insertions=batch.insertions, deletions=gone)
+
+        def assert_fresh():
+            sample = {
+                gid: midas.database[gid] for gid in midas.sampler.sample_ids
+            }
+            fresh = CoverageOracle(sample)
+            for graph in [*midas.pattern_graphs(), *CHAIN_PATTERNS]:
+                assert midas.oracle.cover(graph) == fresh.cover(graph)
+
+        api.maintain(midas, family(seeds[0]))
+        assert_fresh()
+        with inject_faults({"midas.swap": Fault()}):
+            with pytest.raises(RolledBack):
+                midas.apply_update(family(seeds[1]))
+        assert_fresh()
+        api.maintain(midas, family(seeds[2]))
+        assert_fresh()
+

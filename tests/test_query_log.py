@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.midas import LogWeightedSwapper, QueryLog
+from repro.midas import LogWeightedSwapper, MultiScanSwapper, QueryLog
 from repro.patterns import CoverageOracle, PatternSet
 
 from .conftest import make_graph
@@ -68,6 +68,29 @@ class TestLogWeightedSwapper:
         assert pattern_set.has_isomorphic(protected)
         if outcome.num_swaps:
             assert not pattern_set.has_isomorphic(filler)
+
+    def test_weights_scale_every_score_the_swap_reads(self, paper_db):
+        """With no smoothing and a log only the candidate serves, both
+        displayed patterns weigh 0: the victim order falls back to
+        pattern ID, so the first check is against pattern 0, which
+        plain MIDAS ranks after pattern 1."""
+        oracle = CoverageOracle(dict(paper_db.items()))
+        candidate = make_graph("CN", [(0, 1)])
+        log = QueryLog()
+        log.record_many([make_graph("CN", [(0, 1)])] * 5)
+        first_victims = []
+        for swapper in (
+            MultiScanSwapper(oracle, kappa=0.0, lambda_=0.0),
+            LogWeightedSwapper(
+                oracle, log, smoothing=0.0, kappa=0.0, lambda_=0.0
+            ),
+        ):
+            pattern_set = PatternSet()
+            pattern_set.add(make_graph("COS", [(0, 1), (0, 2)]), "p")
+            pattern_set.add(make_graph("CON", [(0, 1), (0, 2)]), "p")
+            outcome = swapper.run(pattern_set, [candidate])
+            first_victims.append(outcome.decisions[0][2])
+        assert first_victims == [1, 0]
 
     def test_weight_cached(self, paper_db):
         oracle = CoverageOracle(dict(paper_db.items()))
