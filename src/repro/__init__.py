@@ -18,17 +18,17 @@ The supported entry points live in :mod:`repro.api`:
 True
 
 Pass an :class:`~repro.execution.ExecutionConfig` to control *how* the
-kernels run — worker processes, result caching, deadlines, degradation:
+kernels run — worker processes, invariant checks, deadlines, degradation:
 
->>> fast = repro.ExecutionConfig(workers=4, cache=True)  # doctest: +SKIP
->>> result = repro.api.select(db, execution=fast)        # doctest: +SKIP
+>>> fast = repro.ExecutionConfig(workers=4)        # doctest: +SKIP
+>>> result = repro.api.select(db, execution=fast)  # doctest: +SKIP
 
 Package map
 -----------
 * :mod:`repro.api` — the supported facade: open_store / select /
   bootstrap / maintain;
-* :mod:`repro.execution` — the shared execution policy (workers, cache,
-  deadline_ms, degrade);
+* :mod:`repro.execution` — the shared execution policy (workers, check,
+  deadline_ms, degrade, store);
 * :mod:`repro.graph` — labelled graphs, canonical forms, databases, IO;
 * :mod:`repro.store` — the pluggable graph-store backends: the
   :class:`GraphStore` API, :func:`open_store`, and the out-of-core
@@ -46,7 +46,6 @@ Package map
 * :mod:`repro.catapult` — the CATAPULT / CATAPULT++ selectors;
 * :mod:`repro.midas` — the MIDAS maintainer and baselines;
 * :mod:`repro.parallel` — the deterministic kernel process pool;
-* :mod:`repro.cache` — canonical-form result caches + invalidation;
 * :mod:`repro.check` — differential oracles, fuzzer, invariant guards;
 * :mod:`repro.serve` — the snapshot-isolated pattern-serving service
   (``python -m repro serve``);

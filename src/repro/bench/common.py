@@ -134,7 +134,6 @@ def bootstrap_approaches(
 def _result_of(midas: Midas):
     """Re-wrap a Midas instance's state as a CatapultResult-like view."""
     from ..catapult.pipeline import CatapultResult
-    from ..obs import Stopwatch
 
     return CatapultResult(
         patterns=midas.patterns,
@@ -145,5 +144,5 @@ def _result_of(midas: Midas):
         sampler=midas.sampler,
         oracle=midas.oracle,
         index_pair=midas.index_pair,
-        stopwatch=Stopwatch(),
+        phases={},
     )

@@ -71,10 +71,10 @@ def run(
         )
         midas_report = midas.apply_update(update)
         random_report = random_maintainer.apply_update(update)
-        catapult_patterns, catapult_watch, _ = from_scratch(
+        catapult_patterns, catapult_phases, _ = from_scratch(
             base, update, config, plus_plus=False
         )
-        catapult_pp_patterns, catapult_pp_watch, _ = from_scratch(
+        catapult_pp_patterns, catapult_pp_phases, _ = from_scratch(
             base, update, config, plus_plus=True
         )
         queries = balanced_query_set(
@@ -95,11 +95,11 @@ def run(
             ),
             "catapult": (
                 [p.graph for p in catapult_patterns],
-                catapult_watch.total(),
+                sum(catapult_phases.values()),
             ),
             "catapult++": (
                 [p.graph for p in catapult_pp_patterns],
-                catapult_pp_watch.total(),
+                sum(catapult_pp_phases.values()),
             ),
         }
         midas_result = evaluate_patterns(

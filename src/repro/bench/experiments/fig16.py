@@ -58,12 +58,10 @@ def run(
         )
         midas = Midas.bootstrap(base, config)
         report = midas.apply_update(update)
-        _, scratch_watch, _ = from_scratch(
+        _, scratch_phases, _ = from_scratch(
             base, update, config, plus_plus=True
         )
-        scratch_cluster = scratch_watch.get("mining") + scratch_watch.get(
-            "clustering"
-        )
+        scratch_cluster = scratch_phases["mining"] + scratch_phases["clustering"]
         own_cluster = max(report.cluster_maintenance_seconds, 1e-9)
         quality = pattern_set_quality(midas.patterns, midas.oracle)
         queries = balanced_query_set(
@@ -92,7 +90,7 @@ def run(
             report.pattern_maintenance_seconds,
             report.pattern_generation_seconds,
             scratch_cluster / own_cluster,
-            scratch_watch.total() / pmt,
+            sum(scratch_phases.values()) / pmt,
             quality["scov"],
             quality["div"],
             mu,

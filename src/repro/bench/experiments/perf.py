@@ -1,30 +1,23 @@
-"""PERF — parallel-kernel determinism and canonical-form cache speedup.
+"""PERF — parallel-kernel determinism.
 
-Not a paper figure: this driver validates the two performance layers the
-reproduction adds on top of MIDAS (``repro.parallel`` and ``repro.cache``)
-and reports their effect in one table.
+Not a paper figure: this driver validates the performance layer the
+reproduction adds on top of MIDAS (``repro.parallel``) and reports its
+effect in one table.
 
-* **Determinism.**  The pairwise-GED matrix is computed serially and then
-  through real forked worker pools (2 and 4 workers).  Any divergence is a
-  hard failure — the driver raises, ``repro bench`` reports the figure as
-  FAILED and exits non-zero, which is what the scheduled CI job keys on.
-* **Cache speedup.**  The same matrix plus the graphlet distributions are
-  computed cold (empty caches) and warm (second pass).  Because cache keys
-  are canonical-form certificates, the warm pass must reproduce the cold
-  pass byte-for-byte; that is asserted too.
+The pairwise-GED matrix is computed serially and then through real
+forked worker pools (2 and 4 workers).  Any divergence is a hard
+failure — the driver raises, ``repro bench`` reports the figure as
+FAILED and exits non-zero, which is what the scheduled CI job keys on.
 
-Speedups are wall-clock and machine-dependent: on a single-core runner the
-worker pools show overhead rather than speedup (the determinism guarantee
-is what is being exercised), while the warm-cache pass is orders of
-magnitude faster everywhere.
+Speedups are wall-clock and machine-dependent: on a single-core runner
+the worker pools show overhead rather than speedup (the determinism
+guarantee is what is being exercised).
 """
 
 from __future__ import annotations
 
 import time
 
-from ...cache.stores import get_caches, use_caching
-from ...graphlets.distribution import GraphletDistribution
 from ...obs import get_registry
 from ...parallel.kernels import pairwise_ged_matrix
 from ...parallel.pool import KernelPool
@@ -32,7 +25,7 @@ from ..common import DEFAULT_SCALE, ExperimentScale, dataset
 from ..harness import ExperimentTable
 
 #: GED method for the matrix: the most expensive rung the maintainer uses
-#: without exact search, so the cache effect is representative.
+#: without exact search.
 GED_METHOD = "beam"
 
 WORKER_COUNTS = (2, 4)
@@ -53,44 +46,36 @@ def run(
     table = ExperimentTable(
         title=(
             f"Perf — {len(graphs)} {profile_name}-like graphs, "
-            f"{pair_count} GED pairs ({GED_METHOD}): determinism + caching"
+            f"{pair_count} GED pairs ({GED_METHOD}): determinism"
         ),
         columns=["workload", "mode", "time_s", "speedup", "status"],
     )
 
-    # ------------------------------------------------------------ parallel
-    # Explicit pools (not the ambient one) so the serial baseline stays
-    # serial even when the CLI installed a shared worker pool, and caching
-    # force-disabled so an ambient ``--cache on`` cannot pre-warm the
-    # worker runs and fake a speedup.
+    # An explicit pool (not the ambient one) so the serial baseline stays
+    # serial even when the CLI installed a shared worker pool.
     mismatches = []
     fanout_times = []
-    with use_caching(False):
-        start = time.perf_counter()
-        serial = pairwise_ged_matrix(
-            graphs, method=GED_METHOD, pool=KernelPool(1)
+    start = time.perf_counter()
+    serial = pairwise_ged_matrix(graphs, method=GED_METHOD, pool=KernelPool(1))
+    serial_s = time.perf_counter() - start
+    table.add_row("ged_matrix", "serial", serial_s, 1.0, "baseline")
+    for workers in WORKER_COUNTS:
+        # force=True: real forked workers even under pytest.
+        with KernelPool(workers, force=True) as pool:
+            start = time.perf_counter()
+            result = pairwise_ged_matrix(graphs, method=GED_METHOD, pool=pool)
+            elapsed = time.perf_counter() - start
+        identical = result == serial
+        if not identical:
+            mismatches.append(workers)
+        fanout_times.append(elapsed)
+        table.add_row(
+            "ged_matrix",
+            f"workers={workers}",
+            elapsed,
+            serial_s / elapsed if elapsed else float("inf"),
+            "identical" if identical else "MISMATCH",
         )
-        serial_s = time.perf_counter() - start
-        table.add_row("ged_matrix", "serial", serial_s, 1.0, "baseline")
-        for workers in WORKER_COUNTS:
-            # force=True: real forked workers even under pytest.
-            with KernelPool(workers, force=True) as pool:
-                start = time.perf_counter()
-                result = pairwise_ged_matrix(
-                    graphs, method=GED_METHOD, pool=pool
-                )
-                elapsed = time.perf_counter() - start
-            identical = result == serial
-            if not identical:
-                mismatches.append(workers)
-            fanout_times.append(elapsed)
-            table.add_row(
-                "ged_matrix",
-                f"workers={workers}",
-                elapsed,
-                serial_s / elapsed if elapsed else float("inf"),
-                "identical" if identical else "MISMATCH",
-            )
     # Wall-clock trend record for the scheduled perf run: serial vs the
     # best persistent-worker fan-out (docs/OBSERVABILITY.md).
     registry = get_registry()
@@ -99,63 +84,13 @@ def run(
         min(fanout_times) if fanout_times else serial_s
     )
 
-    # ------------------------------------------------------------- caching
-    stale = []
-    with use_caching(True):
-        get_caches().clear()
-        start = time.perf_counter()
-        cold = pairwise_ged_matrix(
-            graphs, method=GED_METHOD, pool=KernelPool(1)
-        )
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = pairwise_ged_matrix(
-            graphs, method=GED_METHOD, pool=KernelPool(1)
-        )
-        warm_s = time.perf_counter() - start
-        if cold != serial or warm != serial:
-            stale.append("ged_matrix")
-        registry.gauge("cache.trend.ged_cold_seconds").set(cold_s)
-        registry.gauge("cache.trend.ged_warm_seconds").set(warm_s)
-        table.add_row("ged_matrix", "cache_cold", cold_s, 1.0, "baseline")
-        table.add_row(
-            "ged_matrix",
-            "cache_warm",
-            warm_s,
-            cold_s / warm_s if warm_s else float("inf"),
-            "identical" if warm == serial else "STALE",
-        )
-
-        get_caches().graphlets.clear()
-        start = time.perf_counter()
-        cold_gfd = GraphletDistribution(dict(enumerate(graphs)))
-        gfd_cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm_gfd = GraphletDistribution(dict(enumerate(graphs)))
-        gfd_warm_s = time.perf_counter() - start
-        if list(cold_gfd.frequencies()) != list(warm_gfd.frequencies()):
-            stale.append("graphlets")
-        table.add_row("graphlets", "cache_cold", gfd_cold_s, 1.0, "baseline")
-        table.add_row(
-            "graphlets",
-            "cache_warm",
-            gfd_warm_s,
-            gfd_cold_s / gfd_warm_s if gfd_warm_s else float("inf"),
-            "identical"
-            if list(cold_gfd.frequencies()) == list(warm_gfd.frequencies())
-            else "STALE",
-        )
-        get_caches().clear()
-
     table.add_note(
         "speedups are wall-clock; on a 1-core runner the worker pools show "
         "overhead, not speedup — the determinism columns are the contract"
     )
-    if mismatches or stale:
+    if mismatches:
         raise RuntimeError(
-            "perf figure failed: "
-            f"parallel mismatches at workers={mismatches}, stale caches in "
-            f"{stale}"
+            f"perf figure failed: parallel mismatches at workers={mismatches}"
         )
     return table
 

@@ -20,7 +20,7 @@ from ..csg.maintenance import CSGSet
 from ..execution import ExecutionConfig
 from ..graph.database import GraphDatabase
 from ..index.maintenance import IndexPair
-from ..obs import Stopwatch, capture, get_registry, span
+from ..obs import capture, get_registry, span
 from ..patterns.budget import PatternBudget
 from ..patterns.metrics import CoverageOracle
 from ..patterns.pattern import PatternSet
@@ -40,7 +40,7 @@ class CatapultConfig:
     construction was never used in-tree and keyword-only fields let the
     config hierarchy grow without positional-order hazards.  The shared
     :class:`~repro.execution.ExecutionConfig` carries the *how* (workers,
-    caching, deadline, degradation) next to the algorithmic *what*.
+    checks, deadline, degradation) next to the algorithmic *what*.
     """
 
     budget: PatternBudget = field(default_factory=PatternBudget)
@@ -75,15 +75,16 @@ class CatapultResult:
     sampler: LazySampler
     oracle: CoverageOracle
     index_pair: IndexPair | None
-    stopwatch: Stopwatch
+    #: Seconds per phase: the direct children of the run's span.
+    phases: dict[str, float]
 
     @property
     def selection_seconds(self) -> float:
-        return self.stopwatch.get("selection")
+        return self.phases.get("selection", 0.0)
 
     @property
     def total_seconds(self) -> float:
-        return self.stopwatch.total()
+        return sum(self.phases.values())
 
 
 class Catapult:
@@ -108,7 +109,7 @@ class Catapult:
     def run(self, database: GraphDatabase) -> CatapultResult:
         """Select a canned pattern set for *database* from scratch.
 
-        Runs under ``config.execution`` (workers, caching, deadline,
+        Runs under ``config.execution`` (workers, checks, deadline,
         degradation).  When a budget is active the expensive phases
         degrade gracefully instead of overrunning: mining and selection
         are anytime (partial results), and embedding counts in the
@@ -177,7 +178,7 @@ class Catapult:
             sampler=sampler,
             oracle=oracle,
             index_pair=index_pair,
-            stopwatch=Stopwatch.from_span(run_span),
+            phases={child.name: child.seconds for child in run_span.children},
         )
 
 

@@ -10,14 +10,14 @@ Three layers:
   failures, and round-trips them through replayable JSON artifacts
   (CLI: ``python -m repro check``);
 * :mod:`repro.check.invariants` — cheap runtime invariant guards wired
-  into the GED cache and MIDAS maintenance rounds,
-  armed via ``ExecutionConfig(check=True)`` / ``--check`` and raising
+  into MIDAS maintenance rounds, armed via
+  ``ExecutionConfig(check=True)`` / ``--check`` and raising
   :class:`~repro.exceptions.InvariantViolation` on failure.
 
 Only :mod:`~repro.check.invariants` loads eagerly — production modules
-(the cache stores, the maintainer) import their
-guards from here, while the oracle/fuzz layers import those same
-production modules; lazy loading below breaks that cycle.
+(the maintainer) import their guards from here, while the oracle/fuzz
+layers import those same production modules; lazy loading below breaks
+that cycle.
 """
 
 from .invariants import check_enabled, invariant, set_check, use_check

@@ -9,12 +9,11 @@ free when checking is off (one global load per call site)::
         check_pattern_budget(patterns, budget)
 
 Checking is enabled ambiently — ``ExecutionConfig(check=True)`` /
-``--check`` on the CLI, or :func:`use_check` in tests — mirroring the
-cache toggle.  A failed guard raises a typed
-:class:`~repro.exceptions.InvariantViolation`; inside a transactional
-``Midas.apply_update`` round the resilience layer maps that to a
-rolled-back round (re-raised as ``RolledBack`` with the violation
-chained), so a corrupted round can never commit.
+``--check`` on the CLI, or :func:`use_check` in tests.  A failed guard
+raises a typed :class:`~repro.exceptions.InvariantViolation`; inside a
+transactional ``Midas.apply_update`` round the resilience layer maps
+that to a rolled-back round (re-raised as ``RolledBack`` with the
+violation chained), so a corrupted round can never commit.
 
 Every guard evaluation bumps ``check.assertions`` and every failure
 bumps ``check.violations`` (catalogued in ``docs/OBSERVABILITY.md``);
@@ -29,7 +28,7 @@ from ..exceptions import InvariantViolation
 from ..obs import get_registry
 
 # ----------------------------------------------------------------------
-# ambient enable flag (mirrors repro.cache.stores)
+# ambient enable flag
 # ----------------------------------------------------------------------
 _enabled = False
 
@@ -79,16 +78,6 @@ def invariant(condition: bool, name: str, detail: str = "") -> None:
 # ----------------------------------------------------------------------
 # guard helpers (the invariant catalogue, see docs/CORRECTNESS.md)
 # ----------------------------------------------------------------------
-def check_cache_fidelity(existing_rank: int, new_rank: int, key: str) -> None:
-    """Fidelity-rank monotonicity of a cache upgrade (never downgrade)."""
-    invariant(
-        new_rank >= existing_rank,
-        "cache.fidelity_monotone",
-        f"entry {key} would downgrade fidelity rank "
-        f"{existing_rank} -> {new_rank}",
-    )
-
-
 def check_pattern_budget(patterns, budget) -> None:
     """Pattern-set bounds after a maintenance round (Definition 3.1).
 
@@ -111,7 +100,6 @@ def check_pattern_budget(patterns, budget) -> None:
 
 
 __all__ = [
-    "check_cache_fidelity",
     "check_enabled",
     "check_pattern_budget",
     "invariant",

@@ -1,22 +1,22 @@
 """The oracle registry: fast-path vs reference differential checks.
 
 Every performance-bearing path in the repo promises *byte-identical*
-results to a slow reference — parallel kernels vs serial, canonical-form
-caches vs cold, incremental FCT/index maintenance vs rebuild, pruned
-promising tests vs the literal definition, swap decisions on per-panel
-state vs per-pair evaluation.  Each :class:`Oracle` here packages
-one such promise as a pure function ``(workload) -> Mismatch | None``:
-it runs both sides on the same :class:`~repro.check.workload.Workload`
-and reports the first disagreement.  Metamorphic oracles (``canonical``,
+results to a slow reference — parallel kernels vs serial, incremental
+FCT/index maintenance vs rebuild, pruned promising tests vs the literal
+definition, swap decisions on per-panel state vs per-pair evaluation.
+Each :class:`Oracle` here packages one such promise as a pure function
+``(workload) -> Mismatch | None``: it runs both sides on the same
+:class:`~repro.check.workload.Workload` and reports the first
+disagreement.  Metamorphic oracles (``canonical``,
 ``ged``, ``scov``) check properties with no second implementation —
 vertex-ID permutation invariance, bound sandwiches, the triangle
 inequality, insert-only monotonicity.
 
 Oracles are deterministic, isolated (each installs its own ambient
-toggles and a fresh cache manager; nothing leaks between runs) and
-exception-safe only by convention — the fuzzer's ``evaluate`` wrapper
-converts an escaped exception into a ``Mismatch(code="exception")``, so
-a crash is a finding, not a harness failure.
+toggles; nothing leaks between runs) and exception-safe only by
+convention — the fuzzer's ``evaluate`` wrapper converts an escaped
+exception into a ``Mismatch(code="exception")``, so a crash is a
+finding, not a harness failure.
 
 ``workload_kwargs`` per oracle tunes the fuzzer's generator: the ``vf2``
 and ``ged`` oracles need tiny graphs (brute force / exact A*), ``index``
@@ -31,16 +31,9 @@ from __future__ import annotations
 import copy
 import itertools
 import random
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from ..cache.keys import graph_key
-from ..cache.stores import (
-    CacheManager,
-    cached_ged_value,
-    set_caches,
-    use_caching,
-)
 from ..catapult.candidate import (
     CandidateGenerator,
     CandidatePattern,
@@ -65,7 +58,6 @@ from ..patterns.metrics import CoverageOracle, cognitive_load
 from ..patterns.pattern import PatternSet
 from ..serve.snapshot import SnapshotStore, build_snapshot
 from ..trees.maintenance import FCTSet
-from ..utils.stats import ks_similarity
 from .workload import Mismatch, Workload, permuted_copy
 
 #: Support threshold used by the ``index`` oracle's FCT sets — high
@@ -116,8 +108,8 @@ def _cover_ged_trace(workload: Workload) -> list[tuple]:
     """Per-view cover sets and pairwise GED values, via ambient knobs.
 
     Runs the exact production call path (plain :class:`CoverageOracle`
-    per view plus :func:`cached_ged_value`), so whatever toggles the
-    caller installed — caching, a kernel pool — are what's under test.
+    per view plus :func:`~repro.ged.ged`), so whatever kernel pool the
+    caller installed is what's under test.
     """
     trace: list[tuple] = []
     pairs = list(itertools.combinations(workload.patterns, 2))
@@ -127,7 +119,7 @@ def _cover_ged_trace(workload: Workload) -> list[tuple]:
             oracle.cover(pattern) for pattern in workload.patterns
         )
         distances = tuple(
-            cached_ged_value(a, b, method)
+            ged(a, b, method=method)
             for method in ("lower", "tight_lower")
             for a, b in pairs
         )
@@ -197,40 +189,15 @@ def vf2_oracle(workload: Workload) -> Mismatch | None:
     return None
 
 
-def cache_oracle(workload: Workload) -> Mismatch | None:
-    """Cache-on (cold and warm) vs cache-off cover/GED traces."""
-    with use_caching(False):
-        baseline = _cover_ged_trace(workload)
-    previous = set_caches(CacheManager())
-    try:
-        with use_caching(True):
-            cold = _cover_ged_trace(workload)
-            warm = _cover_ged_trace(workload)
-    finally:
-        set_caches(previous)
-    for label, trace in (("cold", cold), ("warm", warm)):
-        if trace != baseline:
-            view = next(
-                i for i, (a, b) in enumerate(zip(trace, baseline)) if a != b
-            )
-            return Mismatch(
-                "cache",
-                f"{label}_mismatch",
-                {"view": view},
-            )
-    return None
-
-
 def parallel_oracle(workload: Workload) -> Mismatch | None:
     """Kernel fan-out vs the serial loop at 2 and 4 workers, same trace.
 
     Persistent workers resolve hosts from a published view via
     ``contains_view_kernel``; every trace must equal the serial one.
     """
-    with use_caching(False):
-        serial = _cover_ged_trace(workload)
+    serial = _cover_ged_trace(workload)
     for workers in (2, 4):
-        with use_caching(False), use_pool(shared_pool(workers)):
+        with use_pool(shared_pool(workers)):
             fanned = _cover_ged_trace(workload)
         if fanned != serial:
             view = next(
@@ -395,20 +362,32 @@ def prune_oracle(workload: Workload) -> Mismatch | None:
 # ----------------------------------------------------------------------
 # multi-scan swap
 # ----------------------------------------------------------------------
-#: (κ, λ, adaptive κ, KS α) settings the ``swap`` oracle runs.  λ = 0
-#: lets fuzz-sized panels reach every later condition and actual swaps.
-#: A one-pattern swap moves the size distribution's empirical CDF by at
-#: most 1/γ, where the two-sample KS p-value is 1.0, so only α > 1
-#: makes the KS test reject: the last setting exercises that branch.
+#: (κ, λ, adaptive κ) settings the ``swap`` oracle runs.  λ = 0 lets
+#: fuzz-sized panels reach every later condition and actual swaps.
 SWAP_SETTINGS = (
-    (0.0, 0.0, False, 0.05),
-    (0.1, 0.1, False, 0.05),
-    (0.1, 0.0, True, 0.05),
-    (0.0, 0.0, False, 1.5),
+    (0.0, 0.0, False),
+    (0.1, 0.1, False),
+    (0.1, 0.0, True),
 )
+
+#: Significance level of the paper's pattern-size KS test (§6.2), which
+#: :func:`_literal_swap` applies and the production swap leaves out.
+SWAP_KS_ALPHA = 0.05
 
 #: Scans per ``swap`` oracle run; the adaptive schedule moves κ per scan.
 SWAP_MAX_SCANS = 3
+
+
+def ks_similarity(first: Sequence[float], second: Sequence[float]) -> bool:
+    """True when a two-sample KS test at :data:`SWAP_KS_ALPHA` does not
+    reject that the samples come from one distribution.  Empty inputs
+    compare equal only to empty inputs.
+    """
+    if not first or not second:
+        return not first and not second
+    from scipy.stats import ks_2samp  # lazy: slow to import
+
+    return bool(ks_2samp(list(first), list(second)).pvalue >= SWAP_KS_ALPHA)
 
 
 def _literal_swap(
@@ -419,15 +398,18 @@ def _literal_swap(
     lambda_: float,
     adaptive_kappa: bool,
     ged_method: str = "tight_lower",
-    ks_alpha: float = 0.05,
     sigma_initial: float = 0.25,
 ) -> dict:
     """``MultiScanSwapper.run`` transcribed with every (victim,
     candidate) pair evaluated from scratch.
 
-    Each check recomputes both scores, the benefit and loss, the KS
-    test and the set quality of the panel before and after the swap,
-    with an unmemoised GED per distance.  Returns what the swapper's
+    Each check recomputes both scores, the benefit and loss, the set
+    quality of the panel before and after the swap, with an unmemoised
+    GED per distance, and the paper's KS test on pattern sizes at
+    :data:`SWAP_KS_ALPHA`.  The swapper leaves that test out: a
+    one-for-one swap moves the empirical size CDF by at most 1/γ, so
+    the test cannot reject, and a ``"ks"`` verdict here would show up
+    as a mismatch.  Returns what the swapper's
     :class:`~repro.midas.swap.SwapOutcome` records.
     """
 
@@ -473,7 +455,6 @@ def _literal_swap(
         if not ks_similarity(
             [p.num_edges for p in current],
             [p.num_edges for p in prospective],
-            ks_alpha,
         ):
             return "ks"
         div_before, cog_before, lcov_before = set_quality(current)
@@ -570,7 +551,7 @@ def swap_oracle(workload: Workload) -> Mismatch | None:
         if not initial.has_isomorphic(pattern):
             initial.add(pattern, "fuzz")
     for step, view in enumerate(workload.views()):
-        for kappa, lambda_, adaptive, ks_alpha in SWAP_SETTINGS:
+        for kappa, lambda_, adaptive in SWAP_SETTINGS:
             literal_set = initial.copy()
             want = _literal_swap(
                 CoverageOracle(view),
@@ -579,14 +560,12 @@ def swap_oracle(workload: Workload) -> Mismatch | None:
                 kappa,
                 lambda_,
                 adaptive,
-                ks_alpha=ks_alpha,
             )
             swapped_set = initial.copy()
             outcome = MultiScanSwapper(
                 CoverageOracle(view),
                 kappa=kappa,
                 lambda_=lambda_,
-                ks_alpha=ks_alpha,
                 max_scans=SWAP_MAX_SCANS,
                 adaptive_kappa=adaptive,
             ).run(swapped_set, patterns, provenance="literal")
@@ -607,7 +586,6 @@ def swap_oracle(workload: Workload) -> Mismatch | None:
                 "kappa": kappa,
                 "lambda": lambda_,
                 "adaptive_kappa": adaptive,
-                "ks_alpha": ks_alpha,
             }
             for field_name, value in want.items():
                 if got[field_name] != value:
@@ -892,19 +870,12 @@ def canonical_oracle(workload: Workload) -> Mismatch | None:
     """Canonical certificates are vertex-ID permutation invariant."""
     for tag, graph in _all_graphs(workload):
         certificate = canonical_certificate(graph)
-        key = graph_key(graph)
         for seed in (1, 2, 3):
             twin = permuted_copy(graph, seed)
             if canonical_certificate(twin) != certificate:
                 return Mismatch(
                     "canonical",
                     "certificate_not_invariant",
-                    {"graph": tag, "seed": seed},
-                )
-            if graph_key(twin) != key:
-                return Mismatch(
-                    "canonical",
-                    "graph_key_not_invariant",
                     {"graph": tag, "seed": seed},
                 )
     return None
@@ -1256,12 +1227,6 @@ ORACLES: dict[str, Oracle] = {
             },
         ),
         Oracle(
-            "cache",
-            "canonical-form caches on (cold and warm) vs off",
-            cache_oracle,
-            {"num_graphs": 4, "num_batches": 2},
-        ),
-        Oracle(
             "parallel",
             "2- and 4-worker kernel pools vs the serial loop",
             parallel_oracle,
@@ -1322,8 +1287,7 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "canonical",
-            "canonical certificates and cache keys are vertex-ID "
-            "permutation invariant",
+            "canonical certificates are vertex-ID permutation invariant",
             canonical_oracle,
             {"num_graphs": 4, "num_batches": 1},
         ),
@@ -1386,6 +1350,7 @@ __all__ = [
     "GENERATE_BUDGET",
     "ORACLES",
     "Oracle",
+    "SWAP_KS_ALPHA",
     "SWAP_MAX_SCANS",
     "SWAP_SETTINGS",
     "get_oracle",

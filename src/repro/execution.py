@@ -1,10 +1,10 @@
-"""The shared execution policy: workers, caching, deadline, degradation.
+"""The shared execution policy: workers, checks, deadline, degradation.
 
 :class:`ExecutionConfig` is the one knob bundle that every entry point
 accepts — ``repro.api.select`` / ``repro.api.maintain``, the pipeline
 and maintainer configs (``CatapultConfig.execution``), and the CLI
-(``--workers``, ``--cache``, ``--check``, ``--deadline-ms``,
-``--degrade``, ``--store``).  It
+(``--workers``, ``--check``, ``--deadline-ms``, ``--degrade``,
+``--store``).  It
 replaces the per-call resilience kwargs that had accreted on individual
 signatures.
 
@@ -12,7 +12,7 @@ signatures.
 facilities the config asks for and leaves ambient state from enclosing
 scopes alone otherwise.  In particular a config with ``deadline_ms=None``
 does **not** clear an outer deadline (``use_budget(None)`` would), and
-``degrade=True`` / ``cache=False`` — the defaults — do not override an
+``degrade=True`` / ``check=False`` — the defaults — do not override an
 enclosing scope that set those globals differently.  Nested ``apply``
 calls therefore compose: the CLI can wrap a whole bench figure while a
 maintainer config wraps each round.
@@ -32,13 +32,10 @@ class ExecutionConfig:
     ----------
     workers:
         Worker processes for the kernel pool; ``1`` = serial.
-    cache:
-        Enable the canonical-form result caches (:mod:`repro.cache`).
     check:
-        Arm the runtime invariant guards (:mod:`repro.check`): cache
-        fidelity monotonicity and pattern-budget bounds after
-        maintenance rounds.  A failed guard raises
-        :class:`~repro.exceptions.InvariantViolation`, which a
+        Arm the runtime invariant guards (:mod:`repro.check`):
+        pattern-budget bounds after maintenance rounds.  A failed guard
+        raises :class:`~repro.exceptions.InvariantViolation`, which a
         transactional round maps to a rollback.
     deadline_ms:
         Wall-clock budget for the wrapped scope; ``None`` = unbounded.
@@ -54,7 +51,6 @@ class ExecutionConfig:
     """
 
     workers: int = 1
-    cache: bool = False
     check: bool = False
     deadline_ms: float | None = None
     degrade: bool = True
@@ -68,8 +64,7 @@ class ExecutionConfig:
 
     @contextmanager
     def apply(self):
-        """Install this policy (pool, caches, budget, degradation) ambiently."""
-        from .cache.stores import use_caching
+        """Install this policy (pool, checks, budget, degradation) ambiently."""
         from .check.invariants import use_check
         from .parallel.pool import shared_pool, use_pool
         from .resilience.budget import Deadline, use_budget
@@ -81,8 +76,6 @@ class ExecutionConfig:
                 stack.enter_context(use_default_store(self.store))
             if self.workers > 1:
                 stack.enter_context(use_pool(shared_pool(self.workers)))
-            if self.cache:
-                stack.enter_context(use_caching(True))
             if self.check:
                 stack.enter_context(use_check(True))
             if not self.degrade and degradation_enabled():

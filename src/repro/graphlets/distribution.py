@@ -16,7 +16,6 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from ..cache.stores import caching_enabled, get_caches
 from ..graph.labeled_graph import LabeledGraph
 from .atlas import GRAPHLET_NAMES
 from .counting import count_graphlets
@@ -41,14 +40,7 @@ class GraphletDistribution:
     def add(self, graph_id: int, graph: LabeledGraph) -> None:
         if graph_id in self._per_graph:
             raise ValueError(f"graph id {graph_id} already counted")
-        caches = get_caches() if caching_enabled() else None
-        counts = caches.graphlets.get(graph) if caches is not None else None
-        if counts is None:
-            counts = count_graphlets(graph)
-            if caches is not None:
-                caches.graphlets.put(graph, counts, graph_id=graph_id)
-        elif caches is not None:
-            caches.graphlets.bind(graph_id, graph)
+        counts = count_graphlets(graph)
         self._per_graph[graph_id] = counts
         self._total += counts
 

@@ -33,8 +33,6 @@ class MidasConfig(CatapultConfig):
     distance_measure: str = "euclidean"
     #: GED method for diversity (MIDAS uses the tighter GED'_l).
     ged_method: str = "tight_lower"
-    #: Significance level of the pattern-size-distribution KS test.
-    ks_alpha: float = 0.05
     #: Maximum number of swap scans per maintenance round.
     max_scans: int = 3
     #: Use the adaptive κ_t schedule of Lemma 6.3 instead of fixed κ.
@@ -55,8 +53,6 @@ class MidasConfig(CatapultConfig):
             raise ValueError("kappa must be in [0, 1]")
         if self.lambda_ < 0:
             raise ValueError("lambda_ must be non-negative")
-        if not 0.0 < self.ks_alpha < 1.0:
-            raise ValueError("ks_alpha must be in (0, 1)")
         if self.max_scans < 1:
             raise ValueError("max_scans must be positive")
         if self.tray_edges < 0 or self.tray_paths < 0:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 
-from ..cache.stores import caching_enabled, get_caches
 from ..catapult.candidate import CandidateGenerator
 from ..check.invariants import check_enabled, check_pattern_budget
 from ..catapult.pipeline import CatapultPlusPlus, CatapultResult
@@ -35,7 +34,7 @@ from ..exceptions import ConfigurationError, ResilienceError, RolledBack
 from ..execution import ExecutionConfig
 from ..graph.database import BatchUpdate, GraphDatabase
 from ..graph.labeled_graph import GraphError, LabeledGraph
-from ..obs import Stopwatch, capture, get_registry, span
+from ..obs import capture, get_registry, span
 from ..patterns.metrics import PanelCovers
 from ..patterns.pattern import PatternSet
 from ..resilience.budget import budget_check
@@ -55,7 +54,7 @@ class MaintenanceReport:
 
     **Invariant for aborted rounds:** when ``aborted`` is True the
     maintained *state* was rolled back to the pre-round snapshot, but
-    the *measurements* were not — ``stopwatch`` carries the timings of
+    the *measurements* were not — ``phases`` carries the timings of
     every phase that completed before the budget signal, and
     ``degradations`` counts the fidelity fallbacks recorded up to that
     point.  Operators can therefore see where an aborted round spent
@@ -66,7 +65,8 @@ class MaintenanceReport:
 
     classification: Classification
     swap_outcome: SwapOutcome | None
-    stopwatch: Stopwatch
+    #: Seconds per phase: the direct children of the round's span.
+    phases: dict[str, float]
     inserted_ids: list[int] = field(default_factory=list)
     deleted_ids: list[int] = field(default_factory=list)
     candidates_generated: int = 0
@@ -89,16 +89,16 @@ class MaintenanceReport:
     @property
     def pattern_maintenance_seconds(self) -> float:
         """PMT — total wall-clock time of the maintenance round."""
-        return self.stopwatch.total()
+        return sum(self.phases.values())
 
     @property
     def pattern_generation_seconds(self) -> float:
         """PGT — candidate generation plus swapping time."""
-        return self.stopwatch.get("candidates") + self.stopwatch.get("swap")
+        return self.phases.get("candidates", 0.0) + self.phases.get("swap", 0.0)
 
     @property
     def cluster_maintenance_seconds(self) -> float:
-        return self.stopwatch.get("clusters") + self.stopwatch.get("csg")
+        return self.phases.get("clusters", 0.0) + self.phases.get("csg", 0.0)
 
     @property
     def num_swaps(self) -> int:
@@ -245,10 +245,10 @@ class Midas:
         degradations = registry.counter(
             "resilience.degradations"
         ).value - counters_before.get("resilience.degradations", 0)
-        stopwatch = (
-            Stopwatch.from_span(round_span)
+        phases = (
+            {child.name: child.seconds for child in round_span.children}
             if round_span is not None
-            else Stopwatch()
+            else {}
         )
         metrics = {"counters": registry.counter_deltas(counters_before)}
         if round_span is not None:
@@ -258,7 +258,7 @@ class Midas:
                 ModificationType.MINOR, 0.0, self.config.epsilon
             ),
             swap_outcome=None,
-            stopwatch=stopwatch,
+            phases=phases,
             aborted=True,
             abort_reason=f"{type(exc).__name__}: {exc}",
             degradations=degradations,
@@ -322,10 +322,6 @@ class Midas:
         self.csgs.reset_touched()
 
         record = self.database.apply(update)
-        if caching_enabled():
-            get_caches().invalidate(
-                record.inserted_ids, record.deleted_ids
-            )
         graphs = dict(self.database.items())
         added = {gid: graphs[gid] for gid in record.inserted_ids}
         removed_ids = set(record.deleted_ids)
@@ -522,7 +518,7 @@ class Midas:
         return MaintenanceReport(
             classification=classification,
             swap_outcome=swap_outcome,
-            stopwatch=Stopwatch.from_span(round_span),
+            phases={child.name: child.seconds for child in round_span.children},
             inserted_ids=list(record.inserted_ids),
             deleted_ids=list(record.deleted_ids),
             candidates_generated=candidates_generated,
@@ -548,7 +544,6 @@ class Midas:
             kappa=config.kappa,
             lambda_=config.lambda_,
             ged_method=config.ged_method,
-            ks_alpha=config.ks_alpha,
             max_scans=config.max_scans,
             adaptive_kappa=config.adaptive_kappa,
             sigma_initial=config.sigma_initial,

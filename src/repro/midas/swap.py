@@ -10,8 +10,14 @@ candidate.  A swap happens only when **all** criteria hold:
 * **sw2** — ``s'(candidate) ≥ (1 + λ) s'(pattern)``;
 * **sw3** — set diversity does not drop;
 * **sw4** — set cognitive load does not rise;
-* **sw5** — set label coverage does not drop;
-* the pattern-size distributions before/after are KS-similar.
+* **sw5** — set label coverage does not drop.
+
+The paper also asks that the pattern-size distributions before and
+after a swap be KS-similar.  A one-for-one swap changes one of the γ
+sizes, so the two empirical CDFs differ by at most 1/γ and the
+two-sample test cannot reject at any usual significance level; the
+check is left out (the ``swap`` oracle's literal reference still
+applies it at α = 0.05 and shows it decides nothing).
 
 A scan terminates when sw2 fails (candidates are sorted, so no later
 candidate can pass either) or candidates run out; scans repeat — with κ
@@ -45,7 +51,6 @@ from ..resilience.degrade import (
 )
 from ..patterns.metrics import CoverageOracle, PanelCovers, cognitive_load
 from ..patterns.pattern import PatternSet
-from ..utils.stats import ks_similarity
 
 
 def kappa_schedule(sigma_previous: float) -> tuple[float, float]:
@@ -112,7 +117,6 @@ class MultiScanSwapper:
         kappa: float = 0.1,
         lambda_: float = 0.1,
         ged_method: str = "tight_lower",
-        ks_alpha: float = 0.05,
         max_scans: int = 3,
         adaptive_kappa: bool = False,
         sigma_initial: float = 0.25,
@@ -121,7 +125,6 @@ class MultiScanSwapper:
         self.kappa = kappa
         self.lambda_ = lambda_
         self.ged_method = ged_method
-        self.ks_alpha = ks_alpha
         self.max_scans = max_scans
         self.adaptive_kappa = adaptive_kappa
         self.sigma_initial = sigma_initial
@@ -357,12 +360,11 @@ class _Panel:
     Everything a (victim, candidate) check reads that depends on the
     panel alone lives here: the slot-indexed k×k distance matrix, each
     slot's s' and the victim order, each victim's loss, the union
-    cover, the set quality, per victim the label-cover union of the
-    other patterns, and KS verdicts keyed by (victim size, candidate
-    size).  A check then reads the candidate's k-entry distance row, so
-    it costs O(k) rather than the O(k²) set-quality rebuild of
-    evaluating each pair from scratch.  The swapper builds a new panel
-    after each executed swap.
+    cover, the set quality and, per victim, the label-cover union of
+    the other patterns.  A check then reads the candidate's k-entry
+    distance row, so it costs O(k) rather than the O(k²) set-quality
+    rebuild of evaluating each pair from scratch.  The swapper builds a
+    new panel after each executed swap.
 
     Entries are filled on first use, so no GED is computed that the
     per-pair evaluation would not compute, and a value that rests on a
@@ -393,7 +395,6 @@ class _Panel:
         self._rows: dict[int, list[float | None]] = {}
         self._benefit: dict[int, float] = {}
         self._labels: dict[int, frozenset[int]] = {}
-        self._ks: dict[tuple[int, int], bool] = {}
         self._memos: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
@@ -514,19 +515,6 @@ class _Panel:
             labels = self._labels[victim] = frozenset(covered)
         return len(labels | self.oracle.label_cover(candidate)) / self.size
 
-    def _ks_similar(self, victim: int, candidate: LabeledGraph) -> bool:
-        key = (self.graphs[victim].num_edges, candidate.num_edges)
-        verdict = self._ks.get(key)
-        if verdict is None:
-            before = [p.num_edges for p in self.graphs]
-            after = [
-                p.num_edges for j, p in enumerate(self.graphs) if j != victim
-            ] + [candidate.num_edges]
-            verdict = self._ks[key] = ks_similarity(
-                before, after, self.swapper.ks_alpha
-            )
-        return verdict
-
     def _benefit_of(self, candidate: LabeledGraph) -> float:
         benefit = self._benefit.get(id(candidate))
         if benefit is None:
@@ -539,11 +527,11 @@ class _Panel:
     def check(
         self, victim: int, candidate: LabeledGraph, kappa: float
     ) -> str:
-        """sw2 → sw1 → KS → sw3 → sw4 → sw5 for swapping the pattern in
-        slot *victim* for *candidate*.
+        """sw2 → sw1 → sw3 → sw4 → sw5 for swapping the pattern in slot
+        *victim* for *candidate*.
 
         Returns the first failed condition (``"sw2"``, ``"sw1"``,
-        ``"ks"``, ``"sw3"``, ``"sw4"``, ``"sw5"``) or ``"swap"``.
+        ``"sw3"``, ``"sw4"``, ``"sw5"``) or ``"swap"``.
         """
         # sw2 first: it also terminates the scan.
         score_victim = self.slot_score(victim)
@@ -553,9 +541,6 @@ class _Panel:
         # sw1: benefit vs loss on marginal set coverage.
         if self._benefit_of(candidate) < (1.0 + kappa) * self.loss[victim]:
             return "sw1"
-        # Size distribution similarity (KS test).
-        if not self._ks_similar(victim, candidate):
-            return "ks"
         # sw3–sw5: set-level quality must not regress.  The other
         # patterns' pairs and loads are part of the panel's, so they can
         # neither pull f_div below the panel's nor push f_cog above it:

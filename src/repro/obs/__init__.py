@@ -8,11 +8,9 @@ Layer map:
 * :mod:`repro.obs.registry` — process-wide counters/gauges/histograms;
 * :mod:`repro.obs.spans` — hierarchical wall-clock spans with optional
   tracemalloc peak-memory capture;
-* :mod:`repro.obs.compat` — the legacy :class:`Stopwatch` shim;
 * :mod:`repro.obs.export` — JSON snapshot + human-readable tree report.
 """
 
-from .compat import Stopwatch, timed
 from .export import (
     SNAPSHOT_SCHEMA,
     metrics_snapshot,
@@ -50,7 +48,6 @@ __all__ = [
     "MetricsRegistry",
     "SNAPSHOT_SCHEMA",
     "Span",
-    "Stopwatch",
     "Tracer",
     "capture",
     "counter",
@@ -65,6 +62,5 @@ __all__ = [
     "set_trace_memory",
     "set_tracer",
     "span",
-    "timed",
     "write_metrics_json",
 ]

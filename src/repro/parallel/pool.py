@@ -128,7 +128,6 @@ def _run_chunk(
     chunk: list,
     budget_spec: tuple[float | None, int | None] | None,
     degrade: bool,
-    caching: bool,
 ) -> tuple:
     """Worker-side task wrapper: install ambient state, run, ship back.
 
@@ -136,11 +135,9 @@ def _run_chunk(
     because their keyword-only constructors break default exception
     pickling; any other exception propagates through the future as-is.
     """
-    from ..cache.stores import set_caching
     from ..resilience.degrade import set_degradation
 
     set_degradation(degrade)
-    set_caching(caching)
     budget = None
     if budget_spec is not None:
         remaining, states_left = budget_spec
@@ -280,18 +277,16 @@ class KernelPool:
         if budget is not None:
             budget.check("parallel.map")
         spec = _budget_spec()
-        from ..cache.stores import caching_enabled
         from ..resilience.degrade import degradation_enabled
 
         degrade = degradation_enabled()
-        caching = caching_enabled()
         chunks = self._chunks(items)
         registry.counter("parallel.fanouts").add(1)
         registry.counter("parallel.tasks").add(len(chunks))
         executor = self._ensure_executor()
         envelopes = [
             pickle.dumps(
-                (kernel, payload, chunk, spec, degrade, caching),
+                (kernel, payload, chunk, spec, degrade),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             for chunk in chunks

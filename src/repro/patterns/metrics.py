@@ -29,7 +29,7 @@ import weakref
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Set
 
-from ..cache.stores import cached_ged_value, caching_enabled, get_caches
+from ..ged import ged
 from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..index.maintenance import IndexPair
@@ -51,15 +51,8 @@ def diversity(
     others: Iterable[LabeledGraph],
     method: str = "tight_lower",
 ) -> float:
-    """``div(p, P∖p) = min_{p_i} GED(p, p_i)``; +inf with no others.
-
-    Distances route through the canonical-form GED cache when caching
-    is enabled (:mod:`repro.cache`); a hit is byte-identical to
-    recomputing because only full-fidelity values are served.
-    """
-    distances = [
-        cached_ged_value(pattern, other, method) for other in others
-    ]
+    """``div(p, P∖p) = min_{p_i} GED(p, p_i)``; +inf with no others."""
+    distances = [ged(pattern, other, method=method) for other in others]
     return float(min(distances)) if distances else float("inf")
 
 
@@ -177,12 +170,10 @@ class CoverageOracle:
     def cover(self, pattern: LabeledGraph) -> frozenset[int]:
         """``G_scov(p)`` within this oracle's graph view (cached).
 
-        Containment checks consult the canonical-form embedding cache
-        when caching is enabled, and the remaining (uncached) hosts fan
-        out through the ambient :class:`~repro.parallel.pool.KernelPool`
-        when one is installed.  Both paths return the same cover set as
-        the plain serial loop; ``isomorphism_tests`` counts only the
-        VF2 tests actually executed.
+        Containment checks fan out through the ambient
+        :class:`~repro.parallel.pool.KernelPool` when one is installed;
+        that path returns the same cover set as the plain serial loop.
+        ``isomorphism_tests`` counts the VF2 tests actually executed.
         """
         key = canonical_certificate(pattern)
         cached = self._complete_cover(key, pattern)
@@ -219,9 +210,8 @@ class CoverageOracle:
         VF2 runs on those alone, in ascending id order, and stops as
         soon as the answer is decided: once the hits reach *threshold*,
         or once the hits plus the hosts still untested fall short of
-        it.  Partial verdicts feed the embedding cache and
-        ``isomorphism_tests`` but never the cover memo, which holds
-        only complete covers.
+        it.  Partial verdicts count in ``isomorphism_tests`` but never
+        feed the cover memo, which holds only complete covers.
         """
         key = canonical_certificate(pattern)
         cover = self._complete_cover(key, pattern)
@@ -229,20 +219,12 @@ class CoverageOracle:
             return len(cover - excluded) >= threshold
         residual = sorted(gid for gid in self._graphs if gid not in excluded)
         hits = 0
-        caches = get_caches() if caching_enabled() else None
         untested = len(residual)
         for graph_id in residual:
             if hits >= threshold or hits + untested < threshold:
                 break
             untested -= 1
-            verdict = None
-            if caches is not None:
-                verdict = caches.embeddings.get_contains(
-                    pattern, self._graphs[graph_id]
-                )
-            if verdict is None:
-                verdict = self._verify(pattern, [graph_id])[0]
-            hits += verdict
+            hits += self._verify(pattern, [graph_id])[0]
         return hits >= threshold
 
     def _scan_cover(
@@ -255,24 +237,11 @@ class CoverageOracle:
             candidates = self._index_pair.candidate_graphs(pattern, hosts)
         else:
             candidates = set(hosts)
-        caches = get_caches() if caching_enabled() else None
-        covered = set()
-        pending: list[int] = []
-        for graph_id in sorted(candidates):
-            if caches is not None:
-                verdict = caches.embeddings.get_contains(
-                    pattern, self._graphs[graph_id]
-                )
-                if verdict is not None:
-                    if verdict:
-                        covered.add(graph_id)
-                    continue
-            pending.append(graph_id)
+        pending = sorted(candidates)
         verdicts = self._verify(pattern, pending)
-        for graph_id, verdict in zip(pending, verdicts):
-            if verdict:
-                covered.add(graph_id)
-        return frozenset(covered)
+        return frozenset(
+            graph_id for graph_id, verdict in zip(pending, verdicts) if verdict
+        )
 
     def _host_view(self) -> shared.HostView:
         """This oracle's published host view (publish on first use).
@@ -297,11 +266,9 @@ class CoverageOracle:
     ) -> list[bool]:
         """Run VF2 on *pending* hosts (pool fan-out when worthwhile).
 
-        Verdicts are written back to the embedding cache when caching is
-        enabled; ``isomorphism_tests`` counts exactly these tests.
+        ``isomorphism_tests`` counts exactly these tests.
         """
         get_registry().counter("vf2.cover_calls").add(len(pending))
-        caches = get_caches() if caching_enabled() else None
         pool = current_pool()
         if pool.worth_parallelizing(len(pending)):
             view = self._host_view()
@@ -316,11 +283,6 @@ class CoverageOracle:
                 for graph_id in pending
             ]
         self.isomorphism_tests += len(pending)
-        if caches is not None:
-            for graph_id, verdict in zip(pending, verdicts):
-                host = self._graphs[graph_id]
-                caches.embeddings.put_contains(pattern, host, verdict)
-                caches.embeddings.bind(graph_id, host)
         return verdicts
 
     def scov(self, pattern: LabeledGraph) -> float:

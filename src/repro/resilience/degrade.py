@@ -95,7 +95,6 @@ def resilient_ged(
     Uses the explicit *budget* if given, else the ambient one.  With
     degradation disabled the first :class:`ResilienceError` propagates.
     """
-    from ..cache.stores import caching_enabled, get_caches
     from ..ged import ged  # lazy: repro.ged imports this package
 
     try:
@@ -105,15 +104,6 @@ def resilient_ged(
             f"unknown GED method {method!r}; "
             f"choose from {sorted(DEGRADATION_LADDER)}"
         ) from None
-    caches = get_caches() if caching_enabled() else None
-    if caches is not None:
-        cached = caches.ged.get(first, second, method)
-        # Only a full-fidelity entry is served, so a cache hit is
-        # byte-identical to recomputing without the cache; degraded
-        # entries are stored (for fidelity-upgrade bookkeeping) but a
-        # later call with budget headroom recomputes past them.
-        if cached is not None and cached[1] == method:
-            return GedResult(value=cached[0], fidelity=method, requested=method)
     registry = get_registry()
     last_error: ResilienceError | None = None
     for rung in ladder:
@@ -130,8 +120,6 @@ def resilient_ged(
             continue
         if rung != method:
             registry.counter("resilience.degradations").add(1)
-        if caches is not None:
-            caches.ged.put(first, second, method, value, fidelity=rung)
         return GedResult(value=value, fidelity=rung, requested=method)
     # Unreachable in practice: the lower-bound rungs never tick a
     # budget.  Kept for safety if the ladder table is edited.
@@ -150,16 +138,8 @@ def resilient_count(
     ``"full"``; if the budget expires mid-search the embeddings found so
     far are returned with fidelity ``"capped"``.
     """
-    from ..cache.stores import caching_enabled, get_caches
     from ..isomorphism.vf2 import VF2Matcher  # lazy: avoid import cycle
 
-    caches = get_caches() if caching_enabled() else None
-    if caches is not None:
-        cached = caches.embeddings.get_count(pattern, host, limit)
-        # Serve full-fidelity counts only: a capped count depends on
-        # where the budget happened to expire, so it is recomputed.
-        if cached is not None and cached[1] == "full":
-            return CountResult(value=cached[0], fidelity="full")
     matcher = VF2Matcher(pattern, host)
     count = 0
     try:
@@ -178,13 +158,7 @@ def resilient_count(
         if not _degradation_enabled:
             raise
         get_registry().counter("resilience.degradations").add(1)
-        if caches is not None:
-            caches.embeddings.put_count(
-                pattern, host, limit, count, fidelity="capped"
-            )
         return CountResult(value=count, fidelity="capped")
-    if caches is not None:
-        caches.embeddings.put_count(pattern, host, limit, count, fidelity="full")
     return CountResult(value=count, fidelity="full")
 
 

@@ -292,7 +292,7 @@ def set_default_store(spec: str | None) -> None:
 
 @contextmanager
 def use_default_store(spec: str | None):
-    """Scoped ambient default backend, mirroring ``use_caching`` et al."""
+    """Scoped ambient default backend, mirroring ``use_check`` et al."""
     previous = default_store_spec()
     set_default_store(spec)
     try:

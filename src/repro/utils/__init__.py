@@ -1,11 +1,10 @@
 """Shared utilities: sampling and statistics."""
 
 from .sampling import LazySampler
-from .stats import ks_similarity, mean, percentile, stddev
+from .stats import mean, percentile, stddev
 
 __all__ = [
     "LazySampler",
-    "ks_similarity",
     "mean",
     "percentile",
     "stddev",

@@ -1,35 +1,9 @@
-"""Small statistics helpers.
-
-The multi-scan swap of MIDAS checks that a swap does not significantly
-change the pattern-size distribution with a Kolmogorov–Smirnov test
-(paper, Section 6.2).  scipy provides the test; this module wraps it
-with sensible handling of the tiny samples involved (γ ≈ 30 patterns)
-and adds the summary helpers used by the benchmark harness.
-"""
+"""Small statistics helpers used by the benchmark harness and reports."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-
-from scipy import stats as _scipy_stats
-
-
-def ks_similarity(
-    first: Sequence[float],
-    second: Sequence[float],
-    alpha: float = 0.05,
-) -> bool:
-    """True when the two samples are plausibly from one distribution.
-
-    A two-sample KS test at significance *alpha*: returns True (similar)
-    when the null hypothesis is **not** rejected.  Empty inputs compare
-    equal only to empty inputs.
-    """
-    if not first or not second:
-        return not first and not second
-    result = _scipy_stats.ks_2samp(list(first), list(second))
-    return bool(result.pvalue >= alpha)
 
 
 def mean(values: Sequence[float]) -> float:

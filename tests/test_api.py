@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -61,7 +66,7 @@ class TestSelect:
             small_db,
             PatternBudget(3, 6, 6),
             config=CatapultConfig(num_clusters=3, sample_cap=50),
-            execution=ExecutionConfig(cache=True),
+            execution=ExecutionConfig(check=True),
         )
         assert isinstance(result, CatapultResult)
 
@@ -79,9 +84,9 @@ class TestBootstrapAndMaintain:
         api.maintain(
             midas,
             family_injection(8, seed=4),
-            execution=ExecutionConfig(cache=True),
+            execution=ExecutionConfig(check=True),
         )
-        assert midas.config.execution.cache is True
+        assert midas.config.execution.check is True
 
     def test_maintain_config_replaces(self, small_db, small_config):
         midas = api.bootstrap(small_db, config=small_config)
@@ -112,7 +117,7 @@ class TestKeywordOnlyConfigs:
         config = CatapultConfig()
         assert config.execution == ExecutionConfig()
         assert config.execution.workers == 1
-        assert config.execution.cache is False
+        assert config.execution.check is False
 
 
 class TestExecutionConfigValidation:
@@ -123,15 +128,34 @@ class TestExecutionConfigValidation:
             ExecutionConfig(deadline_ms=0)
 
     def test_apply_is_additive(self):
-        from repro.cache import caching_enabled
+        from repro.check import check_enabled
         from repro.resilience import current_budget
 
         with ExecutionConfig().apply():
-            # defaults install nothing: no budget, no caching
+            # defaults install nothing: no budget, no checks
             assert current_budget() is None
-            assert not caching_enabled()
-        with ExecutionConfig(deadline_ms=60_000, cache=True).apply():
+            assert not check_enabled()
+        with ExecutionConfig(deadline_ms=60_000, check=True).apply():
             assert current_budget() is not None
-            assert caching_enabled()
+            assert check_enabled()
         assert current_budget() is None
-        assert not caching_enabled()
+        assert not check_enabled()
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats takes about a second to import; only the swap
+    oracle's KS reference needs it, and imports it on first use."""
+    source = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, env.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro, sys; assert 'scipy.stats' not in sys.modules",
+        ],
+        check=True,
+        env=env,
+    )

@@ -14,7 +14,7 @@ The load-bearing guarantees:
   ``InvariantViolation`` that a transactional maintenance round maps to
   a rollback, never a commit.
 * **Identity** — one maintenance round produces the same observable
-  report under every on/off combination of {workers, cache, check}.
+  report under every combination of {workers, check}.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import json
 
 import pytest
 
-from repro.cache import graph_key
 from repro.check.fuzz import (
     ARTIFACT_FORMAT,
     case_rng,
@@ -55,6 +54,7 @@ from repro.cli import main
 from repro.datasets import aids_like, mixed_update
 from repro.exceptions import InvariantViolation, RolledBack
 from repro.execution import ExecutionConfig
+from repro.graph.canonical import canonical_certificate
 from repro.isomorphism import contains
 from repro.midas import Midas, MidasConfig
 from repro.patterns import PatternBudget
@@ -109,7 +109,7 @@ class TestWorkload:
         # vertex-ID->label assignments; the round trip must not
         # canonicalise that difference away.
         a, b = rebuilt.patterns
-        assert graph_key(a) == graph_key(b)
+        assert canonical_certificate(a) == canonical_certificate(b)
         assert a.label(0) != b.label(0)
 
     def test_size_is_the_lexicographic_shrink_objective(self):
@@ -123,7 +123,7 @@ class TestWorkload:
     def test_permuted_copy_is_isomorphic_not_identical(self):
         graph = make_graph("CNOS", [(0, 1), (1, 2), (2, 3)])
         twin = permuted_copy(graph, seed=1)
-        assert graph_key(twin) == graph_key(graph)
+        assert canonical_certificate(twin) == canonical_certificate(graph)
         assert sorted(twin.vertices()) == sorted(graph.vertices())
         assert any(
             twin.label(v) != graph.label(v) for v in graph.vertices()
@@ -152,7 +152,6 @@ class TestFuzzerDeterminism:
 class TestOracleRegistry:
     def test_expected_oracles_registered(self):
         assert set(oracle_names()) == {
-            "cache",
             "canonical",
             "ged",
             "generate",
@@ -210,7 +209,7 @@ def _prefix_buggy_cover_disagrees(workload: Workload) -> bool:
     """
     stored: dict = {}
     for pattern in workload.patterns:
-        stored.setdefault(graph_key(pattern), pattern)
+        stored.setdefault(canonical_certificate(pattern), pattern)
     view = dict(workload.graphs)
     # Initial registration verifies unseeded (that path was correct).
     covers = [
@@ -225,7 +224,7 @@ def _prefix_buggy_cover_disagrees(workload: Workload) -> bool:
         for gid, host in batch.added.items():
             view[gid] = host
             for i, pattern in enumerate(workload.patterns):
-                twin = stored[graph_key(pattern)]
+                twin = stored[canonical_certificate(pattern)]
                 if _seeded_contains(host, pattern, twin):  # the bug
                     covers[i].add(gid)
     reference = [
@@ -364,7 +363,7 @@ class TestViolationRollsBackRound:
         midas = Midas.bootstrap(aids_like(20, seed=4), config)
         ids_before = sorted(midas.database.ids())
         patterns_before = sorted(
-            graph_key(g) for g in midas.pattern_graphs()
+            canonical_certificate(g) for g in midas.pattern_graphs()
         )
         update = mixed_update(midas.database, 3, 3, seed=8)
         with inject_faults({"midas.fct": Fault(exc=InvariantViolation)}):
@@ -373,7 +372,7 @@ class TestViolationRollsBackRound:
         assert isinstance(excinfo.value.__cause__, InvariantViolation)
         assert sorted(midas.database.ids()) == ids_before
         assert (
-            sorted(graph_key(g) for g in midas.pattern_graphs())
+            sorted(canonical_certificate(g) for g in midas.pattern_graphs())
             == patterns_before
         )
 
@@ -422,7 +421,7 @@ class TestCheckCli:
 
 
 # ----------------------------------------------------------------------
-# execution-knob identity: one round, all 2^3 combinations
+# execution-knob identity: one round, all 2^2 combinations
 # ----------------------------------------------------------------------
 def _knob_fingerprint(execution: ExecutionConfig):
     """One bootstrap + one mixed round under *execution*; every
@@ -443,35 +442,28 @@ def _knob_fingerprint(execution: ExecutionConfig):
         sorted(report.inserted_ids),
         sorted(report.deleted_ids),
         sorted(midas.database.ids()),
-        sorted(graph_key(g) for g in midas.pattern_graphs()),
+        sorted(canonical_certificate(g) for g in midas.pattern_graphs()),
     )
 
 
-KNOB_COMBOS = list(itertools.product((1, 2), (False, True), (False, True)))
+KNOB_COMBOS = list(itertools.product((1, 2), (False, True)))
 
 _baseline_fingerprint: list = []
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "workers,cache,check",
+    "workers,check",
     KNOB_COMBOS,
-    ids=[
-        f"workers{w}-cache{int(ca)}-check{int(ch)}"
-        for w, ca, ch in KNOB_COMBOS
-    ],
+    ids=[f"workers{w}-check{int(ch)}" for w, ch in KNOB_COMBOS],
 )
-def test_execution_knobs_do_not_change_results(workers, cache, check):
+def test_execution_knobs_do_not_change_results(workers, check):
     """Every on/off combination of the execution accelerators (and the
     invariant guards) produces an identical maintenance round — the
     knobs trade speed, never answers."""
     if not _baseline_fingerprint:
         _baseline_fingerprint.append(_knob_fingerprint(ExecutionConfig()))
     fingerprint = _knob_fingerprint(
-        ExecutionConfig(
-            workers=workers,
-            cache=cache,
-            check=check,
-        )
+        ExecutionConfig(workers=workers, check=check)
     )
     assert fingerprint == _baseline_fingerprint[0]

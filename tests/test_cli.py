@@ -52,11 +52,11 @@ class TestExecutionFlagHelp:
         for flag in (
             "--deadline-ms",
             "--workers",
-            "--cache",
             "--check",
             "--degrade",
         ):
             assert flag in demo_help
+        assert "--cache" not in demo_help
         assert "--fragments" not in demo_help
         assert "--substrate" not in demo_help
 
@@ -64,6 +64,7 @@ class TestExecutionFlagHelp:
         for argv in (
             ["--jobs", "4"],
             ["--caching", "on"],
+            ["--cache", "on"],
             ["--deadline", "1500"],
             ["--backend", "memory"],
             ["--fragments", "on"],
@@ -78,7 +79,7 @@ class TestExecutionFlagHelp:
     def test_canonical_defaults_survive_alias_registration(self):
         args = build_parser().parse_args(["demo"])
         assert args.workers == 1
-        assert args.cache == "off"
+        assert args.check == "off"
         assert args.deadline_ms is None
 
 

@@ -189,8 +189,6 @@ SUBSTRATE_METRIC_NAMES = {
     "parallel.views",
     "parallel.trend.ged_serial_seconds",
     "parallel.trend.ged_fanout_seconds",
-    "cache.trend.ged_cold_seconds",
-    "cache.trend.ged_warm_seconds",
 }
 
 

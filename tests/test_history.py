@@ -6,14 +6,11 @@ from repro.midas import MaintenanceHistory
 from repro.midas.detector import Classification, ModificationType
 from repro.midas.maintainer import MaintenanceReport
 from repro.midas.swap import SwapOutcome, SwapRecord
-from repro.obs import Stopwatch
 
 from .conftest import make_graph
 
 
 def fake_report(major: bool, swaps: int = 0, pmt: float = 1.0) -> MaintenanceReport:
-    watch = Stopwatch()
-    watch.laps["total"] = pmt
     outcome = None
     if major:
         outcome = SwapOutcome()
@@ -35,7 +32,7 @@ def fake_report(major: bool, swaps: int = 0, pmt: float = 1.0) -> MaintenanceRep
             epsilon=0.002,
         ),
         swap_outcome=outcome,
-        stopwatch=watch,
+        phases={"total": pmt},
     )
 
 

@@ -389,12 +389,39 @@ class TestCheckpoint:
             )
 
     def test_pickled_execution_config_with_covindex_loads(self):
-        legacy = ExecutionConfig(workers=2, cache=True)
+        """Configs pickled before ``covindex`` and ``cache`` were
+        removed still carry them in their state; they load, compare by
+        the current fields and apply."""
+        legacy = ExecutionConfig(workers=2)
         object.__setattr__(legacy, "covindex", True)
+        object.__setattr__(legacy, "cache", True)
         revived = pickle.loads(pickle.dumps(legacy))
-        assert revived == ExecutionConfig(workers=2, cache=True)
+        assert revived == ExecutionConfig(workers=2)
         with revived.apply():
             pass
+
+    def test_checkpoint_with_the_retired_ks_alpha_loads(self, tmp_path):
+        """Checkpoints written before the swap's KS test and the result
+        cache were removed pickle a config carrying ``ks_alpha`` and an
+        execution config carrying ``cache``; such a maintainer loads
+        and keeps running rounds."""
+        midas = make_midas()
+        midas.config.ks_alpha = 0.05  # the pickled state of old configs
+        object.__setattr__(midas.config.execution, "cache", True)
+        write_checkpoint(
+            tmp_path,
+            checkpoint_id=0,
+            midas=midas,
+            version=1,
+            last_update_id=0,
+            next_update_id=1,
+        )
+        revived = load_latest_checkpoint(tmp_path).midas
+        assert revived.config.execution == ExecutionConfig()
+        size = len(revived.database)
+        report = revived.apply_update(family_injection(4, seed=2))
+        assert not report.aborted
+        assert len(revived.database) == size + 4
 
     def test_invalid_latest_falls_back(self, tmp_path):
         midas = make_midas()

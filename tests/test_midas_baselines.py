@@ -75,19 +75,19 @@ def _state(base_db, config):
 class TestFromScratch:
     def test_returns_fresh_patterns(self, base_db, config):
         update = family_injection(10, seed=3)
-        patterns, watch, updated = from_scratch(base_db, update, config)
+        patterns, phases, updated = from_scratch(base_db, update, config)
         assert len(patterns) > 0
-        assert watch.total() > 0
+        assert sum(phases.values()) > 0
         assert len(updated) == len(base_db) + 10
         assert len(base_db) == 60  # input untouched
 
     def test_plus_plus_variant(self, base_db, config):
         update = family_injection(10, seed=3)
-        patterns, watch, _ = from_scratch(
+        patterns, phases, _ = from_scratch(
             base_db, update, config, plus_plus=True
         )
         assert len(patterns) > 0
-        assert watch.get("indexing") >= 0
+        assert phases["indexing"] >= 0
 
 
 class TestReportSummary:

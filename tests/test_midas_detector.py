@@ -22,8 +22,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             MidasConfig(lambda_=-0.2)
         with pytest.raises(ValueError):
-            MidasConfig(ks_alpha=0.0)
-        with pytest.raises(ValueError):
             MidasConfig(max_scans=0)
 
     def test_inherits_catapult_validation(self):

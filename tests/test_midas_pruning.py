@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.stores import CacheManager, set_caches, use_caching
 from repro.check.fuzz import random_workload
 from repro.check.oracles import _literal_promising
 from repro.midas import PruningContext
@@ -223,26 +222,6 @@ class TestMarginalPromising:
         assert oracle.marginal_reaches(co, frozenset({4, 5}), 7)
         assert not oracle.marginal_reaches(co, frozenset({4, 5}), 8)
         assert oracle.isomorphism_tests == tests
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_embedding_cache_agrees(self, seed):
-        graphs, displayed, candidates = fuzz_case(seed)
-        plain = PruningContext(CoverageOracle(graphs), displayed, 0.1)
-        want = [plain.is_promising(c) for c in candidates]
-        previous = set_caches(CacheManager())
-        try:
-            with use_caching(True):
-                cold = PruningContext(CoverageOracle(graphs), displayed, 0.1)
-                assert [cold.is_promising(c) for c in candidates] == want
-                warm_oracle = CoverageOracle(graphs)
-                warm = PruningContext(warm_oracle, displayed, 0.1)
-                tests = warm_oracle.isomorphism_tests
-                assert [warm.is_promising(c) for c in candidates] == want
-                # Every residual verdict was cached by the cold pass.
-                assert warm_oracle.isomorphism_tests == tests
-        finally:
-            set_caches(previous)
 
     def test_index_pair_does_not_change_decisions(self, paper_db):
         from repro.index import IndexPair

@@ -1,4 +1,4 @@
-"""The observability layer: registry, spans, Stopwatch shim, wiring."""
+"""The observability layer: registry, spans, report phases, wiring."""
 
 import threading
 
@@ -10,8 +10,6 @@ from repro.midas import Midas, MidasConfig
 from repro.obs import (
     BoundCounter,
     MetricsRegistry,
-    Span,
-    Stopwatch,
     Tracer,
     capture,
     get_registry,
@@ -277,30 +275,6 @@ class TestSpans:
         assert tracer.root.find("alloc").memory_peak_bytes > 0
 
 
-class TestStopwatchShim:
-    def test_measure_accumulates_laps(self):
-        watch = Stopwatch()
-        with watch.measure("a"):
-            pass
-        with watch.measure("a"):
-            pass
-        assert watch.get("a") > 0.0
-        assert watch.total() == watch.get("a")
-
-    def test_laps_dict_is_mutable(self):
-        watch = Stopwatch()
-        watch.laps["total"] = 1.5  # tests/bench code writes laps directly
-        assert watch.get("total") == 1.5
-
-    def test_from_span_mirrors_direct_children(self):
-        root = Span("round")
-        root.child("detect").seconds = 0.25
-        root.child("swap").seconds = 0.5
-        watch = Stopwatch.from_span(root)
-        assert watch.laps == {"detect": 0.25, "swap": 0.5}
-        assert watch.total() == 0.75
-
-
 class TestExport:
     def test_snapshot_schema(self):
         with span("something"):
@@ -354,8 +328,20 @@ class TestMaintainerIntegration:
         counters = report.metrics["counters"]
         assert counters["midas.updates"] == 1
         assert counters["clustering.assignments"] == len(report.inserted_ids)
-        assert report.stopwatch.get("detect") > 0.0
+        assert report.phases["detect"] > 0.0
         assert (
             report.pattern_maintenance_seconds
             >= report.pattern_generation_seconds
+        )
+
+    def test_report_phases_mirror_round_span(self, midas):
+        update = random_insertions(midas.database, 10, seed=6)
+        report = midas.apply_update(update)
+        children = report.metrics["spans"]["children"]
+        assert report.phases == {c["name"]: c["seconds"] for c in children}
+        assert report.pattern_maintenance_seconds == sum(
+            report.phases.values()
+        )
+        assert report.pattern_generation_seconds == (
+            report.phases["candidates"] + report.phases["swap"]
         )

@@ -1,11 +1,10 @@
-"""Unit tests for repro.utils (sampling, stats) and the obs Stopwatch."""
-
-import time
+"""Unit tests for repro.utils (sampling, stats) and the swap oracle's
+KS helper."""
 
 import pytest
 
-from repro.obs import Stopwatch, timed
-from repro.utils import LazySampler, ks_similarity, mean, percentile, stddev
+from repro.check.oracles import ks_similarity
+from repro.utils import LazySampler, mean, percentile, stddev
 
 
 class TestLazySampler:
@@ -85,30 +84,3 @@ class TestStats:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1], 150)
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure("a"):
-            time.sleep(0.01)
-        with watch.measure("a"):
-            time.sleep(0.01)
-        with watch.measure("b"):
-            pass
-        assert watch.get("a") >= 0.02
-        assert watch.total() >= watch.get("a")
-        watch.reset()
-        assert watch.total() == 0.0
-
-    def test_stopwatch_on_exception(self):
-        watch = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with watch.measure("x"):
-                raise RuntimeError("boom")
-        assert watch.get("x") >= 0.0
-
-    def test_timed_helper(self):
-        with timed() as elapsed:
-            time.sleep(0.01)
-            assert elapsed() >= 0.01
