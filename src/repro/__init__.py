@@ -18,16 +18,16 @@ The supported entry points live in :mod:`repro.api`:
 True
 
 Pass an :class:`~repro.execution.ExecutionConfig` to control *how* the
-kernels run — worker processes, invariant checks, deadlines, degradation:
+kernels run — invariant checks, deadlines, degradation, the graph store:
 
->>> fast = repro.ExecutionConfig(workers=4)        # doctest: +SKIP
->>> result = repro.api.select(db, execution=fast)  # doctest: +SKIP
+>>> bounded = repro.ExecutionConfig(deadline_ms=5000)  # doctest: +SKIP
+>>> result = repro.api.select(db, execution=bounded)  # doctest: +SKIP
 
 Package map
 -----------
 * :mod:`repro.api` — the supported facade: open_store / select /
   bootstrap / maintain;
-* :mod:`repro.execution` — the shared execution policy (workers, check,
+* :mod:`repro.execution` — the shared execution policy (check,
   deadline_ms, degrade, store);
 * :mod:`repro.graph` — labelled graphs, canonical forms, databases, IO;
 * :mod:`repro.store` — the pluggable graph-store backends: the
@@ -45,7 +45,6 @@ Package map
 * :mod:`repro.patterns` — canned patterns, budgets and quality metrics;
 * :mod:`repro.catapult` — the CATAPULT / CATAPULT++ selectors;
 * :mod:`repro.midas` — the MIDAS maintainer and baselines;
-* :mod:`repro.parallel` — the deterministic kernel process pool;
 * :mod:`repro.check` — differential oracles, fuzzer, invariant guards;
 * :mod:`repro.serve` — the snapshot-isolated pattern-serving service
   (``python -m repro serve``);

@@ -18,8 +18,8 @@ set (paper, Sections 2–3):
 backend — or a store spec string/path resolved through
 :func:`open_store` (docs/STORAGE.md).  Every call accepts an optional
 :class:`~repro.execution.ExecutionConfig` — the shared *how* knob
-bundle (workers, check, store, deadline_ms, degrade) that
-replaced the per-call resilience kwargs.  Results are the existing
+bundle (check, store, deadline_ms, degrade) that replaced the
+per-call resilience kwargs.  Results are the existing
 dataclasses (:class:`~repro.catapult.pipeline.CatapultResult`,
 :class:`~repro.midas.maintainer.MaintenanceReport`), so downstream code
 keeps working unchanged.
@@ -80,8 +80,8 @@ def select(
     config:
         Full pipeline configuration; defaults to ``CatapultConfig()``.
     execution:
-        Execution policy override (workers, check, store, deadline,
-        degrade); replaces ``config.execution`` when given.
+        Execution policy override (check, store, deadline, degrade);
+        replaces ``config.execution`` when given.
     plus_plus:
         Run CATAPULT++ (closed features + FCT/IFE indices, the variant
         MIDAS builds on) rather than baseline CATAPULT.

@@ -10,7 +10,6 @@ from . import (
     fig14,
     fig15,
     fig16,
-    perf,
     store,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "fig14",
     "fig15",
     "fig16",
-    "perf",
     "store",
 ]

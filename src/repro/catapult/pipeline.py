@@ -39,8 +39,8 @@ class CatapultConfig:
     Keyword-only since the ``repro.api`` redesign: positional
     construction was never used in-tree and keyword-only fields let the
     config hierarchy grow without positional-order hazards.  The shared
-    :class:`~repro.execution.ExecutionConfig` carries the *how* (workers,
-    checks, deadline, degradation) next to the algorithmic *what*.
+    :class:`~repro.execution.ExecutionConfig` carries the *how* (checks,
+    deadline, degradation, store) next to the algorithmic *what*.
     """
 
     budget: PatternBudget = field(default_factory=PatternBudget)
@@ -109,8 +109,8 @@ class Catapult:
     def run(self, database: GraphDatabase) -> CatapultResult:
         """Select a canned pattern set for *database* from scratch.
 
-        Runs under ``config.execution`` (workers, checks, deadline,
-        degradation).  When a budget is active the expensive phases
+        Runs under ``config.execution`` (checks, deadline,
+        degradation, store).  When a budget is active the expensive phases
         degrade gracefully instead of overrunning: mining and selection
         are anytime (partial results), and embedding counts in the
         indices fall back to capped counts.  The run still returns a

@@ -18,8 +18,6 @@ from ..csg.summary import SummaryGraph
 from ..exceptions import ResilienceError
 from ..graph.labeled_graph import LabeledGraph
 from ..isomorphism.matcher import contains
-from ..parallel.kernels import candidate_score_kernel
-from ..parallel.pool import current_pool
 from ..resilience.budget import current_budget
 from ..resilience.degrade import anytime_degradation, degradation_enabled
 from ..patterns.budget import PatternBudget
@@ -29,30 +27,6 @@ from .candidate import CandidateGenerator, CandidatePattern
 from .random_walk import decay_weights
 
 MWU_DECAY = 0.5
-
-
-def score_candidate(
-    graph: LabeledGraph,
-    selected_graphs: list[LabeledGraph],
-    csg_hosts: Mapping[int, LabeledGraph],
-    cluster_weights: Mapping[int, float],
-    oracle: CoverageOracle,
-    ged_method: str,
-) -> float:
-    """The CATAPULT score of one candidate against a frozen context.
-
-    A pure module-level function so the scoring loop can fan out to
-    worker processes (:func:`repro.parallel.kernels.candidate_score_kernel`);
-    :meth:`GreedySelector._score` delegates here on the serial path.
-    """
-    ccov = 0.0
-    for cluster_id, host in csg_hosts.items():
-        weight = cluster_weights.get(cluster_id, 0.0)
-        if weight > 0.0 and contains(host, graph):
-            ccov += weight
-    return catapult_pattern_score(
-        graph, selected_graphs, ccov, oracle, ged_method=ged_method
-    )
 
 
 def cluster_coverage(
@@ -120,39 +94,19 @@ class GreedySelector:
     def _score(
         self, candidate: CandidatePattern, selected: PatternSet
     ) -> float:
-        return score_candidate(
-            candidate.graph,
+        """The CATAPULT score of *candidate* against *selected*."""
+        graph = candidate.graph
+        ccov = 0.0
+        for cluster_id, host in self._csg_hosts.items():
+            weight = self.cluster_weights.get(cluster_id, 0.0)
+            if weight > 0.0 and contains(host, graph):
+                ccov += weight
+        return catapult_pattern_score(
+            graph,
             [p.graph for p in selected],
-            self._csg_hosts,
-            self.cluster_weights,
+            ccov,
             self.oracle,
-            self.ged_method,
-        )
-
-    def _score_many(
-        self, candidates: list[CandidatePattern], selected: PatternSet
-    ) -> list[float]:
-        """Scores for *candidates*, fanned out when a pool is ambient.
-
-        Parallel and serial paths call the same pure
-        :func:`score_candidate`, so the scores are identical; workers
-        receive a pickled copy of the oracle, so only parent-side VF2
-        tests show up in ``oracle.isomorphism_tests``.
-        """
-        pool = current_pool()
-        if not pool.worth_parallelizing(len(candidates)):
-            return [self._score(candidate, selected) for candidate in candidates]
-        payload = (
-            [p.graph for p in selected],
-            self._csg_hosts,
-            self.cluster_weights,
-            self.oracle,
-            self.ged_method,
-        )
-        return pool.map(
-            candidate_score_kernel,
-            [candidate.graph for candidate in candidates],
-            payload=payload,
+            ged_method=self.ged_method,
         )
 
     # ------------------------------------------------------------------
@@ -184,12 +138,11 @@ class GreedySelector:
                     for candidate in candidates
                     if self._admissible(candidate, selected, per_size)
                 ]
-                scores = self._score_many(admissible, selected)
-                scored = [
-                    (score, candidate)
-                    for score, candidate in zip(scores, admissible)
-                    if score > 0.0
-                ]
+                scored = []
+                for candidate in admissible:
+                    score = self._score(candidate, selected)
+                    if score > 0.0:
+                        scored.append((score, candidate))
                 if not scored:
                     stale_rounds += 1
                     if stale_rounds >= 2:

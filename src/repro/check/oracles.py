@@ -1,10 +1,10 @@
 """The oracle registry: fast-path vs reference differential checks.
 
 Every performance-bearing path in the repo promises *byte-identical*
-results to a slow reference — parallel kernels vs serial, incremental
-FCT/index maintenance vs rebuild, pruned promising tests vs the literal
-definition, swap decisions on per-panel state vs per-pair evaluation.
-Each :class:`Oracle` here packages one such promise as a pure function
+results to a slow reference — incremental FCT/index maintenance vs
+rebuild, pruned promising tests vs the literal definition, swap
+decisions on per-panel state vs per-pair evaluation.  Each
+:class:`Oracle` here packages one such promise as a pure function
 ``(workload) -> Mismatch | None``: it runs both sides on the same
 :class:`~repro.check.workload.Workload` and reports the first
 disagreement.  Metamorphic oracles (``canonical``,
@@ -52,7 +52,6 @@ from ..index.maintenance import IndexPair
 from ..isomorphism.matcher import contains, count_embeddings
 from ..midas.pruning import PruningContext
 from ..midas.swap import MultiScanSwapper, kappa_schedule
-from ..parallel.pool import shared_pool, use_pool
 from ..patterns.budget import PatternBudget
 from ..patterns.metrics import CoverageOracle, cognitive_load
 from ..patterns.pattern import PatternSet
@@ -102,29 +101,6 @@ def _all_graphs(workload: Workload) -> list[tuple[str, LabeledGraph]]:
         for i, pattern in enumerate(workload.patterns)
     )
     return entries
-
-
-def _cover_ged_trace(workload: Workload) -> list[tuple]:
-    """Per-view cover sets and pairwise GED values, via ambient knobs.
-
-    Runs the exact production call path (plain :class:`CoverageOracle`
-    per view plus :func:`~repro.ged.ged`), so whatever kernel pool the
-    caller installed is what's under test.
-    """
-    trace: list[tuple] = []
-    pairs = list(itertools.combinations(workload.patterns, 2))
-    for view in workload.views():
-        oracle = CoverageOracle(view)
-        covers = tuple(
-            oracle.cover(pattern) for pattern in workload.patterns
-        )
-        distances = tuple(
-            ged(a, b, method=method)
-            for method in ("lower", "tight_lower")
-            for a, b in pairs
-        )
-        trace.append((covers, distances))
-    return trace
 
 
 def _brute_force_embeddings(
@@ -186,28 +162,6 @@ def vf2_oracle(workload: Workload) -> Mismatch | None:
                     "count_vs_brute_force",
                     {"host": tag, "pattern": i, "vf2": counted, "brute": brute},
                 )
-    return None
-
-
-def parallel_oracle(workload: Workload) -> Mismatch | None:
-    """Kernel fan-out vs the serial loop at 2 and 4 workers, same trace.
-
-    Persistent workers resolve hosts from a published view via
-    ``contains_view_kernel``; every trace must equal the serial one.
-    """
-    serial = _cover_ged_trace(workload)
-    for workers in (2, 4):
-        with use_pool(shared_pool(workers)):
-            fanned = _cover_ged_trace(workload)
-        if fanned != serial:
-            view = next(
-                i for i, (a, b) in enumerate(zip(fanned, serial)) if a != b
-            )
-            return Mismatch(
-                "parallel",
-                "trace_mismatch",
-                {"view": view, "workers": workers},
-            )
     return None
 
 
@@ -1225,12 +1179,6 @@ ORACLES: dict[str, Oracle] = {
                 "max_pattern_vertices": 4,
                 "num_batches": 1,
             },
-        ),
-        Oracle(
-            "parallel",
-            "2- and 4-worker kernel pools vs the serial loop",
-            parallel_oracle,
-            {"num_graphs": 4, "num_batches": 1},
         ),
         Oracle(
             "index",

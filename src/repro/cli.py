@@ -48,7 +48,6 @@ from .bench.experiments import (
     fig14,
     fig15,
     fig16,
-    perf,
     store as store_experiment,
 )
 
@@ -65,7 +64,6 @@ FIGURES = {
     "abl2": ("Ablation 2 — pruning on/off", ablations.run_pruning),
     "abl3": ("Ablation 3 — GFD distances", ablations.run_distance_measures),
     "abl4": ("Ablation 4 — walks vs FSM", ablations.run_walks_vs_fsm),
-    "perf": ("Perf — parallel determinism", perf.run),
     "store": (
         "Store — out-of-core SQLite backend vs in-memory",
         store_experiment.run,
@@ -140,14 +138,12 @@ def _execution_from_args(
     """Build the shared execution policy from the normalized CLI flags.
 
     The flag spellings mirror the :class:`~repro.execution.ExecutionConfig`
-    field names one-to-one (``--workers``, ``--check``, ``--deadline-ms``,
-    ``--degrade``, ``--store``) so the CLI and the ``repro.api`` facade
-    stay in sync.
+    field names one-to-one (``--check``, ``--deadline-ms``, ``--degrade``,
+    ``--store``) so the CLI and the ``repro.api`` facade stay in sync.
     """
     if deadline_ms is None:
         deadline_ms = getattr(args, "deadline_ms", None)
     return ExecutionConfig(
-        workers=getattr(args, "workers", 1),
         check=getattr(args, "check", "off") == "on",
         deadline_ms=deadline_ms,
         degrade=getattr(args, "degrade", "on") != "off",
@@ -598,16 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="on",
             help="'on' (default) falls down the fidelity ladder under "
             "deadline pressure; 'off' fails hard instead",
-        )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for the parallel kernels (default 1 "
-            "= serial); results are byte-identical at any worker count "
-            "except after a fine cluster split, whose MCCS ties can "
-            "break differently in workers (see docs/API.md)",
         )
         sub.add_argument(
             "--check",

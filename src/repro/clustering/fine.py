@@ -17,34 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ..graph.labeled_graph import LabeledGraph
-from ..parallel.kernels import mccs_kernel
-from ..parallel.pool import current_pool
 from .mccs import mccs_similarity
-
-
-def _seed_similarities(
-    seed: int,
-    unplaced: list[int],
-    graphs: Mapping[int, LabeledGraph],
-) -> dict[int, float]:
-    """MCCS similarity of every unplaced graph to the seed.
-
-    Fans out through the ambient kernel pool when one is installed;
-    ``mccs_similarity`` is a pure function so the scores — and therefore
-    the resulting clusters — are identical to the serial loop.
-    """
-    pool = current_pool()
-    if pool.worth_parallelizing(len(unplaced)):
-        values = pool.map(
-            mccs_kernel,
-            [graphs[gid] for gid in unplaced],
-            payload=graphs[seed],
-        )
-    else:
-        values = [
-            mccs_similarity(graphs[seed], graphs[gid]) for gid in unplaced
-        ]
-    return dict(zip(unplaced, values))
 
 
 def fine_split(
@@ -71,7 +44,10 @@ def fine_split(
         seed = unplaced.pop(0)
         cluster = {seed}
         if unplaced and max_cluster_size > 1:
-            similarities = _seed_similarities(seed, unplaced, graphs)
+            similarities = {
+                gid: mccs_similarity(graphs[seed], graphs[gid])
+                for gid in unplaced
+            }
             scored = sorted(
                 unplaced,
                 key=lambda gid: (-similarities[gid], gid),

@@ -22,12 +22,16 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..graph.labeled_graph import LabeledGraph
-from ..obs import get_registry
+from ..obs import BoundCounter
 from ..trees.features import FeatureSpace
 from .fine import fine_split
 from .kmeans import kmeans
 
 DEFAULT_MAX_CLUSTER_SIZE = 40
+
+_ASSIGNMENTS = BoundCounter("clustering.assignments")
+_REMOVALS = BoundCounter("clustering.removals")
+_FINE_SPLITS = BoundCounter("clustering.fine_splits")
 
 
 class ClusterSet:
@@ -151,7 +155,7 @@ class ClusterSet:
         """
         if graph_id in self._membership:
             raise ValueError(f"graph {graph_id} is already clustered")
-        get_registry().counter("clustering.assignments").add(1)
+        _ASSIGNMENTS.add(1)
         vector = self.feature_space.vector_for_graph(graph)
         self._vectors[graph_id] = vector
         if not self._clusters:
@@ -177,7 +181,7 @@ class ClusterSet:
             cluster_id = self._membership.pop(graph_id)
         except KeyError:
             raise ValueError(f"graph {graph_id} is not clustered") from None
-        get_registry().counter("clustering.removals").add(1)
+        _REMOVALS.add(1)
         self._clusters[cluster_id].discard(graph_id)
         self._sums[cluster_id] -= self._vectors.pop(graph_id)
         self.touched_removed.add(cluster_id)
@@ -189,7 +193,7 @@ class ClusterSet:
     def _split(
         self, cluster_id: int, graphs: Mapping[int, LabeledGraph] | None
     ) -> None:
-        get_registry().counter("clustering.fine_splits").add(1)
+        _FINE_SPLITS.add(1)
         members = sorted(self._clusters[cluster_id])
         if graphs is not None:
             parts = fine_split(members, graphs, self.max_cluster_size)

@@ -1,10 +1,9 @@
-"""The shared execution policy: workers, checks, deadline, degradation.
+"""The shared execution policy: checks, deadline, degradation, store.
 
 :class:`ExecutionConfig` is the one knob bundle that every entry point
 accepts — ``repro.api.select`` / ``repro.api.maintain``, the pipeline
 and maintainer configs (``CatapultConfig.execution``), and the CLI
-(``--workers``, ``--check``, ``--deadline-ms``, ``--degrade``,
-``--store``).  It
+(``--check``, ``--deadline-ms``, ``--degrade``, ``--store``).  It
 replaces the per-call resilience kwargs that had accreted on individual
 signatures.
 
@@ -30,8 +29,6 @@ class ExecutionConfig:
 
     Attributes
     ----------
-    workers:
-        Worker processes for the kernel pool; ``1`` = serial.
     check:
         Arm the runtime invariant guards (:mod:`repro.check`):
         pattern-budget bounds after maintenance rounds.  A failed guard
@@ -50,23 +47,19 @@ class ExecutionConfig:
         nested scopes compose like the other knobs.
     """
 
-    workers: int = 1
     check: bool = False
     deadline_ms: float | None = None
     degrade: bool = True
     store: str | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
 
     @contextmanager
     def apply(self):
-        """Install this policy (pool, checks, budget, degradation) ambiently."""
+        """Install this policy (store, checks, budget, degradation) ambiently."""
         from .check.invariants import use_check
-        from .parallel.pool import shared_pool, use_pool
         from .resilience.budget import Deadline, use_budget
         from .resilience.degrade import degradation_enabled, set_degradation
         from .store.base import use_default_store
@@ -74,8 +67,6 @@ class ExecutionConfig:
         with ExitStack() as stack:
             if self.store is not None:
                 stack.enter_context(use_default_store(self.store))
-            if self.workers > 1:
-                stack.enter_context(use_pool(shared_pool(self.workers)))
             if self.check:
                 stack.enter_context(use_check(True))
             if not self.degrade and degradation_enabled():

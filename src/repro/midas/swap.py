@@ -41,8 +41,6 @@ from ..exceptions import ResilienceError
 from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..obs import get_registry
-from ..parallel.kernels import ged_pairs_kernel
-from ..parallel.pool import current_pool
 from ..resilience.budget import current_budget
 from ..resilience.degrade import (
     anytime_degradation,
@@ -160,41 +158,6 @@ class MultiScanSwapper:
         return cached
 
     # ------------------------------------------------------------------
-    def _prewarm_distances(
-        self,
-        pattern_set: PatternSet,
-        candidates: list[LabeledGraph],
-    ) -> None:
-        """Batch-fill the pairwise GED memo through the ambient pool.
-
-        Swap scans evaluate (almost) every pairwise distance among the
-        patterns and candidates; computing them up front lets the pool
-        fan the matrix out across workers.  Only full-fidelity values
-        are stored — a pair that degraded inside a worker is left for
-        the lazy path to recompute (and count) exactly as the serial
-        scan would, so outcomes are byte-identical either way.
-        """
-        graphs = [p.graph for p in pattern_set] + list(candidates)
-        unique: dict[tuple, LabeledGraph] = {}
-        for graph in graphs:
-            unique.setdefault(canonical_certificate(graph), graph)
-        keys = sorted(unique)
-        pairs = [
-            (keys[i], keys[j])
-            for i in range(len(keys))
-            for j in range(i + 1, len(keys))
-            if (keys[i], keys[j]) not in self._ged_cache
-        ]
-        pool = current_pool()
-        if not pool.worth_parallelizing(len(pairs)):
-            return
-        items = [(unique[a], unique[b]) for a, b in pairs]
-        results = pool.map(ged_pairs_kernel, items, payload=self.ged_method)
-        for pair, (value, fidelity) in zip(pairs, results):
-            if fidelity == self.ged_method:
-                self._ged_cache[pair] = float(value)
-
-    # ------------------------------------------------------------------
     def _score(
         self, graph: LabeledGraph, diversity: Callable[[], float]
     ) -> float:
@@ -240,7 +203,6 @@ class MultiScanSwapper:
         self._degraded_distances = 0
         if not candidates or len(pattern_set) == 0:
             return outcome
-        self._prewarm_distances(pattern_set, candidates)
         ambient = current_budget()
         self._graph_terms = {}
         try:

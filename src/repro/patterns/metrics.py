@@ -25,7 +25,6 @@ pays for the batch, not for the sample.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Set
 
@@ -34,11 +33,10 @@ from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..index.maintenance import IndexPair
 from ..isomorphism.matcher import contains
-from ..obs import get_registry
-from ..parallel import shared
-from ..parallel.kernels import contains_view_kernel
-from ..parallel.pool import current_pool
+from ..obs import BoundCounter
 from .pattern import CannedPattern, PatternSet
+
+_COVER_CALLS = BoundCounter("vf2.cover_calls")
 
 
 def cognitive_load(pattern: LabeledGraph) -> float:
@@ -104,29 +102,20 @@ class CoverageOracle:
         self._carried: dict[tuple, frozenset[int]] = {}
         self._stable: frozenset[int] = frozenset()
         self._fresh: tuple[int, ...] = ()
-        # Token of this oracle's published host view (repro.parallel.shared),
-        # allocated lazily on the first parallel verification.
-        self._view_token: int | None = None
         #: Number of VF2 containment tests actually executed (for the
         #: index-effectiveness experiments).
         self.isomorphism_tests = 0
-
-    def __getstate__(self):
-        # Published host views are process-local, fork-inherited state;
-        # a pickled or deep-copied oracle (e.g. the transactional
-        # snapshot backup in Midas.apply_update) must not alias the live
-        # view, so the copy drops the token and republishes lazily.
-        state = self.__dict__.copy()
-        state["_view_token"] = None
-        return state
 
     def __setstate__(self, state):
         # Checkpoints written with the retired coverage engine switched
         # on carry it as ``_engine``; its covers equal the full scan's,
         # so the memo tables stay valid and the engine is dropped.
+        # Checkpoints from the retired kernel pool carry the token of a
+        # process-local host view as ``_view_token``; it is dropped too.
         # Oracles pickled before covers were carried have no carried
         # state: they start with none.
         state.pop("_engine", None)
+        state.pop("_view_token", None)
         state.setdefault("_carried", {})
         state.setdefault("_stable", frozenset())
         state.setdefault("_fresh", ())
@@ -170,9 +159,6 @@ class CoverageOracle:
     def cover(self, pattern: LabeledGraph) -> frozenset[int]:
         """``G_scov(p)`` within this oracle's graph view (cached).
 
-        Containment checks fan out through the ambient
-        :class:`~repro.parallel.pool.KernelPool` when one is installed;
-        that path returns the same cover set as the plain serial loop.
         ``isomorphism_tests`` counts the VF2 tests actually executed.
         """
         key = canonical_certificate(pattern)
@@ -243,45 +229,16 @@ class CoverageOracle:
             graph_id for graph_id, verdict in zip(pending, verdicts) if verdict
         )
 
-    def _host_view(self) -> shared.HostView:
-        """This oracle's published host view (publish on first use).
-
-        Parallel verification ships only graph IDs; workers resolve the
-        graphs from the fork-inherited view this returns.  The view is
-        retired when the oracle is garbage-collected; a new oracle
-        publishes its own view, and the epoch bump restarts workers
-        forked before it.
-        """
-        if self._view_token is None:
-            view = shared.publish_view(self._graphs)
-            self._view_token = view.view_id
-            weakref.finalize(self, shared.retire_view, view.view_id)
-            return view
-        return shared.get_view(self._view_token)
-
     def _verify(
         self,
         pattern: LabeledGraph,
         pending: list[int],
     ) -> list[bool]:
-        """Run VF2 on *pending* hosts (pool fan-out when worthwhile).
-
-        ``isomorphism_tests`` counts exactly these tests.
-        """
-        get_registry().counter("vf2.cover_calls").add(len(pending))
-        pool = current_pool()
-        if pool.worth_parallelizing(len(pending)):
-            view = self._host_view()
-            verdicts = pool.map(
-                contains_view_kernel,
-                pending,
-                payload=(view.view_id, pattern),
-            )
-        else:
-            verdicts = [
-                contains(self._graphs[graph_id], pattern)
-                for graph_id in pending
-            ]
+        """Run VF2 on *pending* hosts; ``isomorphism_tests`` counts them."""
+        _COVER_CALLS.add(len(pending))
+        verdicts = [
+            contains(self._graphs[graph_id], pattern) for graph_id in pending
+        ]
         self.isomorphism_tests += len(pending)
         return verdicts
 

@@ -116,16 +116,16 @@ class TestKeywordOnlyConfigs:
     def test_execution_field_defaults(self):
         config = CatapultConfig()
         assert config.execution == ExecutionConfig()
-        assert config.execution.workers == 1
         assert config.execution.check is False
+        assert config.execution.deadline_ms is None
 
 
 class TestExecutionConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ExecutionConfig(workers=0)
-        with pytest.raises(ValueError):
             ExecutionConfig(deadline_ms=0)
+        with pytest.raises(TypeError):
+            ExecutionConfig(workers=2)
 
     def test_apply_is_additive(self):
         from repro.check import check_enabled
@@ -144,7 +144,8 @@ class TestExecutionConfigValidation:
 
 def test_import_does_not_load_scipy_stats():
     """scipy.stats takes about a second to import; only the swap
-    oracle's KS reference needs it, and imports it on first use."""
+    oracle's KS reference needs it, and imports it on first use.  No
+    process pool is loaded either: every kernel runs serially."""
     source = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -154,7 +155,10 @@ def test_import_does_not_load_scipy_stats():
         [
             sys.executable,
             "-c",
-            "import repro, sys; assert 'scipy.stats' not in sys.modules",
+            "import repro, sys\n"
+            "for name in ('scipy.stats', 'repro.parallel',"
+            " 'concurrent.futures.process'):\n"
+            "    assert name not in sys.modules, name",
         ],
         check=True,
         env=env,

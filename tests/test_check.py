@@ -14,7 +14,7 @@ The load-bearing guarantees:
   ``InvariantViolation`` that a transactional maintenance round maps to
   a rollback, never a commit.
 * **Identity** — one maintenance round produces the same observable
-  report under every combination of {workers, check}.
+  report with the invariant guards armed and disarmed.
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ class TestOracleRegistry:
             "ged",
             "generate",
             "index",
-            "parallel",
             "prune",
             "scov",
             "serve",
@@ -446,24 +445,15 @@ def _knob_fingerprint(execution: ExecutionConfig):
     )
 
 
-KNOB_COMBOS = list(itertools.product((1, 2), (False, True)))
-
 _baseline_fingerprint: list = []
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "workers,check",
-    KNOB_COMBOS,
-    ids=[f"workers{w}-check{int(ch)}" for w, ch in KNOB_COMBOS],
-)
-def test_execution_knobs_do_not_change_results(workers, check):
-    """Every on/off combination of the execution accelerators (and the
-    invariant guards) produces an identical maintenance round — the
-    knobs trade speed, never answers."""
+@pytest.mark.parametrize("check", (False, True), ids=("check0", "check1"))
+def test_execution_knobs_do_not_change_results(check):
+    """Arming the invariant guards produces an identical maintenance
+    round — the guards check answers, never change them."""
     if not _baseline_fingerprint:
         _baseline_fingerprint.append(_knob_fingerprint(ExecutionConfig()))
-    fingerprint = _knob_fingerprint(
-        ExecutionConfig(workers=workers, check=check)
-    )
+    fingerprint = _knob_fingerprint(ExecutionConfig(check=check))
     assert fingerprint == _baseline_fingerprint[0]

@@ -51,18 +51,19 @@ class TestExecutionFlagHelp:
     def test_canonical_flags_are_documented(self, demo_help):
         for flag in (
             "--deadline-ms",
-            "--workers",
             "--check",
             "--degrade",
         ):
             assert flag in demo_help
         assert "--cache" not in demo_help
+        assert "--workers" not in demo_help
         assert "--fragments" not in demo_help
         assert "--substrate" not in demo_help
 
     def test_alias_spellings_are_hidden(self, capsys):
         for argv in (
             ["--jobs", "4"],
+            ["--workers", "2"],
             ["--caching", "on"],
             ["--cache", "on"],
             ["--deadline", "1500"],
@@ -78,7 +79,6 @@ class TestExecutionFlagHelp:
 
     def test_canonical_defaults_survive_alias_registration(self):
         args = build_parser().parse_args(["demo"])
-        assert args.workers == 1
         assert args.check == "off"
         assert args.deadline_ms is None
 

@@ -1,21 +1,18 @@
 """Documentation health: links resolve, catalogued names exist in code.
 
-Four guarantees:
+Six guarantees:
 
 * every intra-repository markdown link in README.md and docs/*.md points
   at a file that exists;
 * every metric and span name catalogued in docs/OBSERVABILITY.md appears
   as a string literal somewhere under src/repro — the catalogue cannot
   drift from the instrumentation;
-* the reverse, for the execution-layer namespaces: every ``parallel.*``
-  / ``cache.*`` / ``vf2.*`` / ``check.*`` / ``serve.*`` / ``journal.*``
-  / ``store.*`` metric literal under src/repro is catalogued in
-  OBSERVABILITY.md — the instrumentation cannot drift from the
-  catalogue;
+* the reverse, for the execution-layer namespaces: every ``vf2.*`` /
+  ``check.*`` / ``serve.*`` / ``journal.*`` / ``store.*`` metric
+  literal under src/repro is catalogued in OBSERVABILITY.md — the
+  instrumentation cannot drift from the catalogue;
 * the invariant catalogue in docs/CORRECTNESS.md matches the guard
   names raised by ``repro.check.invariants``, in both directions;
-* every kernel named in docs/PERFORMANCE.md's kernel table is a real
-  function in ``repro.parallel``;
 * the docs/SERVING.md endpoint table matches ``repro.serve.http.ROUTES``
   exactly, in both directions;
 * docs/API.md matches the facade: the table lists exactly
@@ -109,7 +106,7 @@ def test_documented_span_exists_in_source(name, source_text):
 
 
 EXECUTION_METRIC_PATTERN = re.compile(
-    r'"((?:parallel|cache|vf2|check|serve|journal|store)\.'
+    r'"((?:vf2|check|serve|journal|store)\.'
     r'[a-z_][a-z_.]*)"'
 )
 
@@ -125,7 +122,6 @@ def _serve_site_names() -> set[str]:
 # (``SERVE_SITES``) are excluded the same way, as is the default SQLite
 # filename literal "store.db".
 EXECUTION_SITE_NAMES = {
-    "parallel.map",
     "vf2.search",
     "store.db",
 } | _serve_site_names()
@@ -160,54 +156,18 @@ def _correctness_invariant_names() -> set[str]:
 
 
 def test_execution_metrics_are_catalogued(source_text):
-    """Every parallel./cache./vf2./check./serve./journal./store. literal
-    is catalogued."""
+    """Every vf2./check./serve./journal./store. literal is catalogued."""
     emitted = (
         set(EXECUTION_METRIC_PATTERN.findall(source_text))
         - EXECUTION_SITE_NAMES
         - _invariant_names_in_source()
     )
-    assert emitted, "expected parallel.*/cache.* metric literals in src/repro"
+    assert emitted, "expected vf2.*/serve.* metric literals in src/repro"
     documented = set(_catalogue_names("## Metric catalogue"))
     undocumented = sorted(emitted - documented)
     assert not undocumented, (
         f"metrics emitted under src/repro but missing from the "
         f"OBSERVABILITY.md catalogue: {undocumented}"
-    )
-
-
-#: The metrics introduced with the persistent shared-memory workers and
-#: the perf figure's trend gauges (docs/PERFORMANCE.md).  Named
-#: explicitly — beyond the generic sweep above — so that renaming or
-#: dropping any of them breaks this test instead of silently shrinking
-#: the catalogue.
-SUBSTRATE_METRIC_NAMES = {
-    "parallel.fallback",
-    "parallel.bytes_pickled",
-    "parallel.worker_restarts",
-    "parallel.view_publishes",
-    "parallel.views",
-    "parallel.trend.ged_serial_seconds",
-    "parallel.trend.ged_fanout_seconds",
-}
-
-
-def test_substrate_worker_metrics_catalogued_and_emitted(source_text):
-    """Substrate/persistent-worker metrics: catalogued AND emitted."""
-    documented = set(_catalogue_names("## Metric catalogue"))
-    missing = sorted(SUBSTRATE_METRIC_NAMES - documented)
-    assert not missing, (
-        f"substrate/worker metrics missing from the OBSERVABILITY.md "
-        f"catalogue: {missing}"
-    )
-    unemitted = sorted(
-        name
-        for name in SUBSTRATE_METRIC_NAMES
-        if f'"{name}"' not in source_text
-    )
-    assert not unemitted, (
-        f"substrate/worker metrics catalogued but never emitted as a "
-        f"string literal under src/repro: {unemitted}"
     )
 
 
@@ -219,31 +179,6 @@ def test_invariant_catalogue_matches_source():
     assert in_source == in_docs, (
         f"undocumented guards: {sorted(in_source - in_docs)}; "
         f"documented but not raised: {sorted(in_docs - in_source)}"
-    )
-
-
-def _performance_kernel_names() -> list[str]:
-    """First-column backticked names of the PERFORMANCE.md kernel table."""
-    text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
-    names = []
-    for line in text.splitlines():
-        match = TABLE_NAME_PATTERN.match(line)
-        if match and match.group(1).endswith("_kernel"):
-            names.append(match.group(1))
-    return names
-
-
-def test_performance_kernel_table_is_nonempty():
-    assert len(_performance_kernel_names()) >= 4
-
-
-@pytest.mark.parametrize("name", _performance_kernel_names())
-def test_documented_kernel_exists(name):
-    import repro.parallel as parallel
-
-    assert callable(getattr(parallel, name, None)), (
-        f"kernel {name!r} is documented in PERFORMANCE.md but is not a "
-        f"callable exported by repro.parallel"
     )
 
 

@@ -389,25 +389,29 @@ class TestCheckpoint:
             )
 
     def test_pickled_execution_config_with_covindex_loads(self):
-        """Configs pickled before ``covindex`` and ``cache`` were
-        removed still carry them in their state; they load, compare by
-        the current fields and apply."""
-        legacy = ExecutionConfig(workers=2)
+        """Configs pickled before ``covindex``, ``cache`` and
+        ``workers`` were removed still carry them in their state; they
+        load, compare by the current fields and apply."""
+        legacy = ExecutionConfig()
         object.__setattr__(legacy, "covindex", True)
         object.__setattr__(legacy, "cache", True)
+        object.__setattr__(legacy, "workers", 2)
         revived = pickle.loads(pickle.dumps(legacy))
-        assert revived == ExecutionConfig(workers=2)
+        assert revived == ExecutionConfig()
         with revived.apply():
             pass
 
     def test_checkpoint_with_the_retired_ks_alpha_loads(self, tmp_path):
-        """Checkpoints written before the swap's KS test and the result
-        cache were removed pickle a config carrying ``ks_alpha`` and an
-        execution config carrying ``cache``; such a maintainer loads
-        and keeps running rounds."""
+        """Checkpoints written before the swap's KS test, the result
+        cache and the kernel pool were removed pickle a config carrying
+        ``ks_alpha``, an execution config carrying ``cache`` and
+        ``workers``, and coverage oracles carrying ``_view_token``; such
+        a maintainer loads and keeps running rounds."""
         midas = make_midas()
         midas.config.ks_alpha = 0.05  # the pickled state of old configs
         object.__setattr__(midas.config.execution, "cache", True)
+        object.__setattr__(midas.config.execution, "workers", 2)
+        midas.oracle._view_token = 7
         write_checkpoint(
             tmp_path,
             checkpoint_id=0,
@@ -418,6 +422,7 @@ class TestCheckpoint:
         )
         revived = load_latest_checkpoint(tmp_path).midas
         assert revived.config.execution == ExecutionConfig()
+        assert "_view_token" not in vars(revived.oracle)
         size = len(revived.database)
         report = revived.apply_update(family_injection(4, seed=2))
         assert not report.aborted
