@@ -309,7 +309,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .resilience.faults import arm_crash_from_env
-    from .serve import PatternServer, PatternService, endpoints
+    from .serve.http import PatternServer, endpoints
+    from .serve.service import PatternService
     from .serve.bench import run_smoke
 
     if not _check_metrics_path(args):

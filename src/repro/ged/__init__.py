@@ -9,7 +9,7 @@ diversity with the label-count lower bound ``GED_l``; MIDAS tightens it to
 from __future__ import annotations
 
 from ..graph.labeled_graph import LabeledGraph
-from ..obs import get_registry
+from ..obs import BoundCounter
 from .beam import ged_beam_upper_bound
 from .bipartite import ged_bipartite_upper_bound
 from .exact import ged_exact
@@ -19,6 +19,15 @@ from .lower_bounds import (
     relaxed_edge_count,
     vertex_term,
 )
+
+# Literal metric names (not f-strings) keep the catalogue in
+# docs/OBSERVABILITY.md greppable; beam/bipartite count themselves.
+_CALLS = BoundCounter("ged.calls")
+_METHOD_CALLS = {
+    "lower": BoundCounter("ged.lower.calls"),
+    "tight_lower": BoundCounter("ged.tight_lower.calls"),
+    "exact": BoundCounter("ged.exact.calls"),
+}
 
 GED_METHODS = {
     "lower": ged_label_lower_bound,
@@ -44,16 +53,10 @@ def ged(
         raise ValueError(
             f"unknown GED method {method!r}; choose from {sorted(GED_METHODS)}"
         ) from None
-    registry = get_registry()
-    registry.counter("ged.calls").add(1)
-    # Literal metric names (not f-strings) keep the catalogue in
-    # docs/OBSERVABILITY.md greppable; beam/bipartite count themselves.
-    if method == "lower":
-        registry.counter("ged.lower.calls").add(1)
-    elif method == "tight_lower":
-        registry.counter("ged.tight_lower.calls").add(1)
-    elif method == "exact":
-        registry.counter("ged.exact.calls").add(1)
+    _CALLS.add(1)
+    method_calls = _METHOD_CALLS.get(method)
+    if method_calls is not None:
+        method_calls.add(1)
     return implementation(first, second)
 
 

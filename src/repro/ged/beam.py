@@ -17,13 +17,17 @@ from __future__ import annotations
 from collections import Counter
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
-from ..obs import get_registry
+from ..obs import BoundCounter
 from ..resilience.budget import current_budget
 from ..resilience.faults import trip
 
 _EPS = object()
 
 DEFAULT_BEAM_WIDTH = 8
+
+_CALLS = BoundCounter("ged.beam.calls")
+_NODES_EXPANDED = BoundCounter("ged.beam.nodes_expanded")
+_PRUNES = BoundCounter("ged.beam.prunes")
 
 
 def _label_heuristic(
@@ -111,8 +115,7 @@ def ged_beam_upper_bound(
         raise ValueError("beam_width must be positive")
     trip("ged.beam")
     budget = current_budget()
-    registry = get_registry()
-    registry.counter("ged.beam.calls").add(1)
+    _CALLS.add(1)
     order = sorted(first.vertices(), key=lambda v: (-first.degree(v), repr(v)))
     targets = sorted(second.vertices(), key=repr)
     if not order:
@@ -156,8 +159,8 @@ def ged_beam_upper_bound(
         nodes_expanded += len(scored)
         nodes_pruned += max(0, len(scored) - beam_width)
         beam = [candidate for _, _, candidate in scored[:beam_width]]
-    registry.counter("ged.beam.nodes_expanded").add(nodes_expanded)
-    registry.counter("ged.beam.prunes").add(nodes_pruned)
+    _NODES_EXPANDED.add(nodes_expanded)
+    _PRUNES.add(nodes_pruned)
     return min(
         _mapping_cost(first, second, order, assignment)
         for assignment in beam

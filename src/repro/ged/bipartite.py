@@ -18,11 +18,12 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
-from ..obs import get_registry
+from ..obs import BoundCounter
 from ..resilience.faults import trip
+
+_CALLS = BoundCounter("ged.bipartite.calls")
 
 
 def _local_edge_cost(
@@ -107,9 +108,16 @@ def _edit_cost_of_mapping(
 def ged_bipartite_upper_bound(
     first: LabeledGraph, second: LabeledGraph
 ) -> int:
-    """Assignment-based upper bound on GED (Riesen–Bunke style)."""
+    """Assignment-based upper bound on GED (Riesen–Bunke style).
+
+    SciPy is imported on first use: this rung is its only caller on the
+    maintenance path, and ``scipy.optimize`` is most of a process's
+    resident memory when loaded.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     trip("ged.bipartite")
-    get_registry().counter("ged.bipartite.calls").add(1)
+    _CALLS.add(1)
     if first.num_vertices == 0 and second.num_vertices == 0:
         return 0
     if first.num_vertices == 0:

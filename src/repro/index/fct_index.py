@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping
 
 from ..graph.labeled_graph import LabeledGraph
 from ..isomorphism.invariants import prune_by_counts
-from ..obs import get_registry
+from ..obs import BoundCounter
 from ..resilience.degrade import resilient_count
 from ..trees.canonical import TreeCode
 from ..trees.mining import MinedTree
@@ -36,6 +36,8 @@ from .trie import TokenTrie
 #: cap are clamped, which preserves the prefilter's correctness because
 #: pattern-side counts are clamped identically and patterns are tiny.
 EMBEDDING_COUNT_CAP = 64
+
+_COVER_CALLS = BoundCounter("vf2.cover_calls")
 
 
 def count_embeddings(
@@ -185,7 +187,7 @@ class FCTIndex:
         invocations spent on cover computation, so they count toward
         ``vf2.cover_calls`` (the coverage-engine comparison metric).
         """
-        get_registry().counter("vf2.cover_calls").add(len(self._features))
+        _COVER_CALLS.add(len(self._features))
         pattern_counts: dict[TreeCode, int] = {}
         for key, feature in self._features.items():
             count = count_embeddings(

@@ -20,10 +20,12 @@ from collections.abc import Iterable, Mapping
 
 from ..graph.labeled_graph import EdgeLabel, LabeledGraph
 from ..isomorphism.invariants import prune_by_counts
-from ..obs import get_registry
+from ..obs import BoundCounter, get_registry
 from ..trees.maintenance import FCTSet
 from .fct_index import EMBEDDING_COUNT_CAP, FCTIndex, count_embeddings
 from .ife_index import IFEIndex
+
+_PREFILTER_QUERIES = BoundCounter("index.prefilter_queries")
 
 
 class IndexPair:
@@ -82,7 +84,7 @@ class IndexPair:
         self, pattern: LabeledGraph, universe: Iterable[int]
     ) -> set[int]:
         """Containment prefilter across both indices (Section 6.1)."""
-        get_registry().counter("index.prefilter_queries").add(1)
+        _PREFILTER_QUERIES.add(1)
         candidates = self.fct.candidate_graphs(pattern, universe)
         requirements = {
             label: needed

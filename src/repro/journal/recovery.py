@@ -63,7 +63,7 @@ class RecoveredState:
 
 
 def _freeze_head(midas, version: int):
-    # Imported lazily: repro.serve imports repro.journal at module load,
+    # Imported lazily: repro.serve.service imports repro.journal at load,
     # so the reverse edge must wait until call time.
     from ..serve.snapshot import build_snapshot
 

@@ -24,15 +24,15 @@ serving path, stdlib-only:
 Durability (write-ahead journaling, checkpoints, recovery) lives in
 :mod:`repro.journal`; :class:`PatternService` wires it in when built
 with ``journal_dir=``.
+
+The package re-exports only the snapshot names, so a process that just
+publishes snapshots (a maintainer beside a graph engine) loads no
+asyncio or sockets.  Import the front-end from its modules::
+
+    from repro.serve.http import PatternServer, ROUTES, endpoints
+    from repro.serve.service import PatternService
 """
 
-from .http import PatternServer, ROUTES, endpoints
-from .service import (
-    DEFAULT_QUEUE_LIMIT,
-    HEALTH_STATES,
-    PatternService,
-    UpdateStatus,
-)
 from .snapshot import (
     PatternSnapshot,
     SnapshotLease,
@@ -42,16 +42,9 @@ from .snapshot import (
 )
 
 __all__ = [
-    "DEFAULT_QUEUE_LIMIT",
-    "HEALTH_STATES",
-    "PatternServer",
-    "PatternService",
     "PatternSnapshot",
-    "ROUTES",
     "SnapshotLease",
     "SnapshotPattern",
     "SnapshotStore",
-    "UpdateStatus",
     "build_snapshot",
-    "endpoints",
 ]

@@ -142,24 +142,54 @@ class TestExecutionConfigValidation:
         assert not check_enabled()
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats takes about a second to import; only the swap
-    oracle's KS reference needs it, and imports it on first use.  No
-    process pool is loaded either: every kernel runs serially."""
+IMPORT_CLOSURE_SCRIPT = """
+import sys
+
+for name in ("scipy", "asyncio", "ssl"):
+    sys.modules[name] = None  # any import of these now raises ImportError
+
+import repro
+from repro import api
+from repro.datasets import family_injection, pubchem_like
+from repro.ged import ged
+from repro.midas import MidasConfig
+from repro.serve.snapshot import build_snapshot
+
+midas = api.bootstrap(pubchem_like(30, seed=1))
+report = api.maintain(
+    midas, family_injection(5, seed=2), config=MidasConfig(epsilon=0.0)
+)
+assert report.is_major, report
+snapshot = build_snapshot(
+    1,
+    ((p.pattern_id, p.graph, p.provenance) for p in midas.patterns),
+    midas.oracle,
+    database_size=len(midas.database),
+)
+assert snapshot.patterns
+for name in ("repro.parallel", "concurrent.futures.process"):
+    assert name not in sys.modules, name
+first, second = (p.graph for p in list(midas.patterns)[:2])
+try:
+    ged(first, second, method="bipartite")
+except ImportError:
+    pass
+else:
+    raise AssertionError("the bipartite rung ran without SciPy")
+"""
+
+
+def test_import_closure_of_a_maintenance_run():
+    """Bootstrap, a major maintenance round and a snapshot load neither
+    SciPy nor asyncio/ssl: only the bipartite GED rung imports SciPy,
+    on first use, and only the HTTP front-end and the service import
+    asyncio.  No process pool is loaded either: every kernel runs
+    serially."""
     source = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source, env.get("PYTHONPATH")])
     )
     subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import repro, sys\n"
-            "for name in ('scipy.stats', 'repro.parallel',"
-            " 'concurrent.futures.process'):\n"
-            "    assert name not in sys.modules, name",
-        ],
-        check=True,
-        env=env,
+        [sys.executable, "-c", IMPORT_CLOSURE_SCRIPT], check=True, env=env
     )

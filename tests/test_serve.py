@@ -27,14 +27,9 @@ from repro.obs import get_registry
 from repro.patterns import PatternBudget
 from repro.patterns.metrics import CoverageOracle
 from repro.resilience import Fault, inject_faults
-from repro.serve import (
-    PatternServer,
-    PatternService,
-    ROUTES,
-    SnapshotStore,
-    build_snapshot,
-    endpoints,
-)
+from repro.serve import SnapshotStore, build_snapshot
+from repro.serve.http import ROUTES, PatternServer, endpoints
+from repro.serve.service import PatternService
 from repro.serve.bench import HttpClient, run_smoke
 
 
