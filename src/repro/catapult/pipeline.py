@@ -168,7 +168,7 @@ class Catapult:
                 )
                 patterns = selector.select()
             if index_pair is not None:
-                index_pair.sync_patterns(patterns.graphs())
+                index_pair.sync_patterns([p.graph for p in patterns])
         return CatapultResult(
             patterns=patterns,
             clusters=clusters,

@@ -169,7 +169,9 @@ def _fct_snapshot(fct_set: FCTSet) -> set[tuple]:
     return {(repr(t.key), t.support_count) for t in fct_set.fcts()}
 
 
-def _index_pair_state(pair: IndexPair) -> tuple:
+def _index_pair_state(
+    pair: IndexPair, displayed: Sequence[LabeledGraph]
+) -> tuple:
     rows = tuple(
         (repr(key), tuple(sorted(pair.fct.tg.row(key).items())))
         for key in sorted(pair.fct.feature_keys(), key=repr)
@@ -179,11 +181,18 @@ def _index_pair_state(pair: IndexPair) -> tuple:
         (label, tuple(sorted(pair.ife.graphs_with_edge(label))))
         for label in labels
     )
-    return (rows, labels, postings)
+    columns = sorted(
+        (repr(key), sorted(map(repr, pair.fct.tp.column(key).items())))
+        for key in map(canonical_certificate, displayed)
+    )
+    return (rows, labels, postings, columns)
 
 
 def index_oracle(workload: Workload) -> Mismatch | None:
     """Incremental FCT/index maintenance vs rebuild per view.
+
+    The first half of the workload's patterns is the displayed panel,
+    so the TP columns are compared as well as the TG/EG rows.
 
     Precondition (enforced by the generator hints): deletions per batch
     stay well under half the view, the Lemma 3.4/4.5 regime in which the
@@ -192,8 +201,10 @@ def index_oracle(workload: Workload) -> Mismatch | None:
     views = list(workload.views())
     if not views[0]:
         return None
+    displayed = workload.patterns[: (len(workload.patterns) + 1) // 2]
     incremental = FCTSet(views[0], sup_min=FCT_SUP_MIN)
     pair = IndexPair.build(incremental, views[0])
+    pair.sync_patterns(displayed)
     current = dict(views[0])
     for step, batch in enumerate(workload.batches):
         view = views[step + 1]
@@ -219,7 +230,10 @@ def index_oracle(workload: Workload) -> Mismatch | None:
             )
         pair.apply_update(incremental, view, list(batch.added), removed)
         fresh = IndexPair.build(incremental, view)
-        if _index_pair_state(pair) != _index_pair_state(fresh):
+        fresh.sync_patterns(displayed)
+        if _index_pair_state(pair, displayed) != _index_pair_state(
+            fresh, displayed
+        ):
             return Mismatch(
                 "index",
                 "index_pair_incremental_vs_rebuild",

@@ -1,10 +1,9 @@
-"""Index substrate: sparse matrices, token trie, FCT-Index, IFE-Index."""
+"""Index substrate: sparse matrices, FCT-Index, IFE-Index."""
 
 from .fct_index import EMBEDDING_COUNT_CAP, FCTIndex
 from .ife_index import IFEIndex
 from .maintenance import IndexPair
 from .sparse import SparseCountMatrix
-from .trie import TokenTrie
 
 __all__ = [
     "EMBEDDING_COUNT_CAP",
@@ -12,5 +11,4 @@ __all__ = [
     "IFEIndex",
     "IndexPair",
     "SparseCountMatrix",
-    "TokenTrie",
 ]

@@ -1,13 +1,18 @@
-"""The FCT-Index: a trie over canonical strings plus TG/TP matrices.
+"""The FCT-Index: TG/TP embedding-count matrices over tree features.
 
 Definition 5.1 of the paper: given the frequent closed trees ``F`` and
-frequent edges ``E_freq`` of ``D``, the FCT-Index consists of
+frequent edges ``E_freq`` of ``D``, the FCT-Index holds
 
-* a trie of the canonical strings of ``F ∪ E_freq`` whose terminal nodes
-  carry a *graph pointer* and a *pattern pointer*;
 * the **TG-matrix** — embedding counts of each feature in each data
-  graph — and the **TP-matrix** — embedding counts of each feature in
-  each canned pattern.
+  graph — and
+* the **TP-matrix** — embedding counts of each feature in each
+  displayed canned pattern.
+
+The paper reaches the matrix rows through a trie of the features'
+canonical strings; here rows are keyed by the feature's canonical tree
+code directly, and TP columns by the pattern's
+:func:`~repro.graph.canonical.canonical_certificate`, the key the
+coverage oracle memoises covers by.
 
 The index serves two purposes in MIDAS:
 
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+from ..graph.canonical import Certificate, canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..isomorphism.invariants import prune_by_counts
 from ..obs import BoundCounter
@@ -30,7 +36,6 @@ from ..resilience.degrade import resilient_count
 from ..trees.canonical import TreeCode
 from ..trees.mining import MinedTree
 from .sparse import SparseCountMatrix
-from .trie import TokenTrie
 
 #: Cap on embeddings counted per (feature, graph) cell; counts above the
 #: cap are clamped, which preserves the prefilter's correctness because
@@ -54,13 +59,31 @@ def count_embeddings(
 
 
 class FCTIndex:
-    """Trie + TG/TP matrices over FCT and frequent-edge features."""
+    """TG/TP matrices over FCT and frequent-edge features.
+
+    ``tp`` has one column per displayed pattern, kept in step with the
+    panel by :meth:`sync_patterns` and with the features by
+    :meth:`add_feature`/:meth:`remove_feature`.  A TP cell counted
+    under a deadline may have degraded to a lower bound; it only
+    weakens pruning, because a smaller requirement rules out fewer
+    graphs, and covers stay exact because VF2 decides every survivor.
+    """
 
     def __init__(self) -> None:
-        self.trie = TokenTrie()
         self.tg = SparseCountMatrix()  # feature key -> graph id -> count
-        self.tp = SparseCountMatrix()  # feature key -> pattern id -> count
+        self.tp = SparseCountMatrix()  # feature key -> certificate -> count
         self._features: dict[TreeCode, MinedTree] = {}
+        self._patterns: dict[Certificate, LabeledGraph] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before TP was keyed by certificate carry a token
+        # trie and TP columns keyed by pattern ID: both are dropped, and
+        # the next sync_patterns refills TP.
+        if "_patterns" not in state:
+            state.pop("trie", None)
+            state["tp"] = SparseCountMatrix()
+            state["_patterns"] = {}
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # construction
@@ -70,9 +93,8 @@ class FCTIndex:
         cls,
         features: Iterable[MinedTree],
         graphs: Mapping[int, LabeledGraph],
-        patterns: Mapping[int, LabeledGraph] | None = None,
     ) -> "FCTIndex":
-        """Index *features* over *graphs* (and optionally *patterns*).
+        """Index *features* over *graphs*.
 
         Embedding counting is restricted to each feature's cover set, so
         construction cost follows the covers rather than |F| × |D|.
@@ -80,9 +102,6 @@ class FCTIndex:
         index = cls()
         for feature in features:
             index.add_feature(feature, graphs)
-        if patterns:
-            for pattern_id, pattern in patterns.items():
-                index.add_pattern(pattern_id, pattern)
         return index
 
     # ------------------------------------------------------------------
@@ -94,7 +113,8 @@ class FCTIndex:
         graphs: Mapping[int, LabeledGraph],
         known: Mapping[int, int] | None = None,
     ) -> None:
-        """Insert a feature and populate its TG row from its cover set.
+        """Insert a feature: its TG row from its cover set, and its TP
+        row over the displayed patterns.
 
         *known* holds exact embedding counts already at hand for some
         graphs; only the others are counted here.
@@ -102,26 +122,19 @@ class FCTIndex:
         if feature.key in self._features:
             self.remove_feature(feature.key)
         self._features[feature.key] = feature
-        self.trie.insert(feature.tokens(), feature.key)
         known = known or {}
         for graph_id in feature.cover:
             graph = graphs.get(graph_id)
-            if graph is None:
-                continue
-            count = known.get(graph_id)
-            if count is None:
-                count = count_embeddings(
-                    graph, feature.tree, limit=EMBEDDING_COUNT_CAP
-                )
-            count = min(count, EMBEDDING_COUNT_CAP)
+            if graph is not None:
+                self._set_tg(feature, graph_id, graph, known.get(graph_id))
+        for pattern_key, pattern in self._patterns.items():
+            count = count_embeddings(pattern, feature.tree)
             if count:
-                self.tg.set(feature.key, graph_id, count)
+                self.tp.set(feature.key, pattern_key, count)
 
     def remove_feature(self, key: TreeCode) -> None:
-        feature = self._features.pop(key, None)
-        if feature is None:
+        if self._features.pop(key, None) is None:
             return
-        self.trie.delete(feature.tokens())
         self.tg.remove_row(key)
         self.tp.remove_row(key)
 
@@ -142,29 +155,58 @@ class FCTIndex:
     # ------------------------------------------------------------------
     # graph / pattern maintenance
     # ------------------------------------------------------------------
-    def add_graph(self, graph_id: int, graph: LabeledGraph) -> None:
-        """Add a TG column for a newly inserted data graph."""
+    def add_graph(
+        self,
+        graph_id: int,
+        graph: LabeledGraph,
+        known: Mapping[TreeCode, int] | None = None,
+    ) -> None:
+        """Fill the TG column of a newly inserted data graph.
+
+        Only features whose cover holds *graph_id* embed in it.  *known*
+        holds exact embedding counts already at hand for some features;
+        only the others are counted here.
+        """
+        known = known or {}
         for key, feature in self._features.items():
-            count = count_embeddings(
-                graph, feature.tree, limit=EMBEDDING_COUNT_CAP
-            )
-            if count:
-                self.tg.set(key, graph_id, count)
+            if graph_id in feature.cover:
+                self._set_tg(feature, graph_id, graph, known.get(key))
 
     def remove_graph(self, graph_id: int) -> None:
         self.tg.remove_column(graph_id)
 
-    def add_pattern(self, pattern_id: int, pattern: LabeledGraph) -> None:
-        """Add a TP column for a canned pattern."""
-        for key, feature in self._features.items():
-            count = count_embeddings(
-                pattern, feature.tree, limit=EMBEDDING_COUNT_CAP
-            )
-            if count:
-                self.tp.set(key, pattern_id, count)
+    def _set_tg(
+        self,
+        feature: MinedTree,
+        graph_id: int,
+        graph: LabeledGraph,
+        count: int | None,
+    ) -> None:
+        if count is None:
+            count = count_embeddings(graph, feature.tree)
+        count = min(count, EMBEDDING_COUNT_CAP)
+        if count:
+            self.tg.set(feature.key, graph_id, count)
 
-    def remove_pattern(self, pattern_id: int) -> None:
-        self.tp.remove_column(pattern_id)
+    def sync_patterns(self, patterns: Iterable[LabeledGraph]) -> None:
+        """Reconcile the TP columns with the displayed *patterns*."""
+        current = {canonical_certificate(p): p for p in patterns}
+        for key in self._patterns.keys() - current.keys():
+            self.tp.remove_column(key)
+        for key in current.keys() - self._patterns.keys():
+            counts = self._pattern_counts(current[key])
+            for feature_key, count in counts.items():
+                self.tp.set(feature_key, key, count)
+        self._patterns = current
+
+    def _pattern_counts(self, pattern: LabeledGraph) -> dict[TreeCode, int]:
+        """Non-zero embedding counts of every feature in *pattern*."""
+        counts = {}
+        for key, feature in self._features.items():
+            count = count_embeddings(pattern, feature.tree)
+            if count:
+                counts[key] = count
+        return counts
 
     # ------------------------------------------------------------------
     # queries
@@ -183,18 +225,17 @@ class FCTIndex:
         least as often in the graph.  Patterns with no indexed features
         cannot be filtered and the universe is returned unchanged.
 
-        The per-feature pattern-side embedding counts are VF2 matcher
+        A displayed pattern's counts are its TP column.  Any other
+        pattern is counted here, unstored; those counts are VF2 matcher
         invocations spent on cover computation, so they count toward
-        ``vf2.cover_calls`` (the coverage-engine comparison metric).
+        ``vf2.cover_calls``.
         """
-        _COVER_CALLS.add(len(self._features))
-        pattern_counts: dict[TreeCode, int] = {}
-        for key, feature in self._features.items():
-            count = count_embeddings(
-                pattern, feature.tree, limit=EMBEDDING_COUNT_CAP
-            )
-            if count:
-                pattern_counts[key] = count
+        key = canonical_certificate(pattern)
+        if key in self._patterns:
+            pattern_counts = self.tp.column(key)
+        else:
+            _COVER_CALLS.add(len(self._features))
+            pattern_counts = self._pattern_counts(pattern)
         return prune_by_counts(set(universe), pattern_counts, self.tg.row)
 
     def memory_bytes(self) -> int:

@@ -1,11 +1,13 @@
-"""The IFE-Index: infrequent-edge embedding counts (EG/EP matrices).
+"""The IFE-Index: infrequent-edge embedding counts (the EG-matrix).
 
 Definition 5.2 of the paper: for the infrequent edge labels ``E_inf`` of
 ``D``, the IFE-Index stores the **EG-matrix** (embedding counts of each
 infrequent edge over the data graphs) and the **EP-matrix** (counts over
 the canned patterns).  An "embedding of an edge" is simply an edge with
 the same endpoint labels, so the counts come straight from edge-label
-multisets — no isomorphism machinery needed.
+multisets — no isomorphism machinery needed.  That also makes an
+EP-matrix redundant: a pattern's column is its edge-label multiset,
+which the prefilter reads directly, so only EG is stored.
 
 Together with the FCT-Index this answers ``G_scov(e)`` for *any* edge
 label during coverage-based pruning: frequent edges hit the TG-matrix,
@@ -21,12 +23,16 @@ from .sparse import SparseCountMatrix
 
 
 class IFEIndex:
-    """EG/EP matrices over infrequent edge labels."""
+    """The EG-matrix over infrequent edge labels."""
 
     def __init__(self) -> None:
         self.eg = SparseCountMatrix()  # edge label -> graph id -> count
-        self.ep = SparseCountMatrix()  # edge label -> pattern id -> count
         self._edge_labels: set[EdgeLabel] = set()
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before the EP-matrix was retired still carry it.
+        state.pop("ep", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -34,15 +40,11 @@ class IFEIndex:
         cls,
         edge_labels: Iterable[EdgeLabel],
         graphs: Mapping[int, LabeledGraph],
-        patterns: Mapping[int, LabeledGraph] | None = None,
     ) -> "IFEIndex":
         index = cls()
         index._edge_labels = set(edge_labels)
         for graph_id, graph in graphs.items():
             index.add_graph(graph_id, graph)
-        if patterns:
-            for pattern_id, pattern in patterns.items():
-                index.add_pattern(pattern_id, pattern)
         return index
 
     # ------------------------------------------------------------------
@@ -55,31 +57,25 @@ class IFEIndex:
         self,
         edge_labels: Iterable[EdgeLabel],
         graphs: Mapping[int, LabeledGraph],
-        patterns: Mapping[int, LabeledGraph] | None = None,
     ) -> None:
         """Reconcile the indexed label set after (in)frequency changes.
 
         Labels leaving the set drop their rows; labels entering the set
-        get rows populated by one scan of *graphs* (and *patterns*).
+        get rows populated by one scan of *graphs*.
         """
         new_labels = set(edge_labels)
         for gone in self._edge_labels - new_labels:
             self.eg.remove_row(gone)
-            self.ep.remove_row(gone)
         added = new_labels - self._edge_labels
         if added:
             for graph_id, graph in graphs.items():
                 for label, count in graph.edge_label_multiset().items():
                     if label in added:
                         self.eg.set(label, graph_id, count)
-            for pattern_id, pattern in (patterns or {}).items():
-                for label, count in pattern.edge_label_multiset().items():
-                    if label in added:
-                        self.ep.set(label, pattern_id, count)
         self._edge_labels = new_labels
 
     # ------------------------------------------------------------------
-    # graph / pattern maintenance
+    # graph maintenance
     # ------------------------------------------------------------------
     def add_graph(self, graph_id: int, graph: LabeledGraph) -> None:
         for label, count in graph.edge_label_multiset().items():
@@ -88,14 +84,6 @@ class IFEIndex:
 
     def remove_graph(self, graph_id: int) -> None:
         self.eg.remove_column(graph_id)
-
-    def add_pattern(self, pattern_id: int, pattern: LabeledGraph) -> None:
-        for label, count in pattern.edge_label_multiset().items():
-            if label in self._edge_labels:
-                self.ep.set(label, pattern_id, count)
-
-    def remove_pattern(self, pattern_id: int) -> None:
-        self.ep.remove_column(pattern_id)
 
     # ------------------------------------------------------------------
     # queries
@@ -108,4 +96,4 @@ class IFEIndex:
         return label in self._edge_labels
 
     def memory_bytes(self) -> int:
-        return self.eg.memory_bytes() + self.ep.memory_bytes()
+        return self.eg.memory_bytes()

@@ -11,7 +11,11 @@ operations MIDAS needs:
   (Section 5.2);
 * ``candidate_graphs`` — the scov containment prefilter (Section 6.1);
 * ``apply_update`` — reconcile after a database batch;
-* ``sync_patterns`` — reconcile the TP/EP columns after pattern swaps.
+* ``sync_patterns`` — reconcile the TP columns after pattern swaps.
+
+The pattern side of the prefilter is the TP column of a displayed
+pattern (counted for any other pattern) and the pattern's own
+edge-label multiset for the infrequent edges.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from ..graph.labeled_graph import EdgeLabel, LabeledGraph
 from ..isomorphism.invariants import prune_by_counts
 from ..obs import BoundCounter, get_registry
 from ..trees.maintenance import FCTSet
-from .fct_index import EMBEDDING_COUNT_CAP, FCTIndex, count_embeddings
+from .fct_index import FCTIndex
 from .ife_index import IFEIndex
 
 _PREFILTER_QUERIES = BoundCounter("index.prefilter_queries")
@@ -34,7 +38,12 @@ class IndexPair:
     def __init__(self, fct_index: FCTIndex, ife_index: IFEIndex) -> None:
         self.fct = fct_index
         self.ife = ife_index
-        self._pattern_ids: set[int] = set()
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before TP was keyed by certificate carry the
+        # pattern IDs its columns were keyed by.
+        state.pop("_pattern_ids", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -42,7 +51,6 @@ class IndexPair:
         cls,
         fct_set: FCTSet,
         graphs: Mapping[int, LabeledGraph],
-        patterns: Mapping[int, LabeledGraph] | None = None,
     ) -> "IndexPair":
         """Construct both indices from the current FCT pool and database."""
         features = fct_set.fcts() + [
@@ -50,13 +58,9 @@ class IndexPair:
             for edge in fct_set.frequent_edges()
             if not edge.closed  # closed single edges already included
         ]
-        fct_index = FCTIndex.build(features, graphs, patterns)
-        ife_index = IFEIndex.build(
-            fct_set.infrequent_edge_labels(), graphs, patterns
-        )
-        pair = cls(fct_index, ife_index)
-        pair._pattern_ids = set(patterns or {})
-        return pair
+        fct_index = FCTIndex.build(features, graphs)
+        ife_index = IFEIndex.build(fct_set.infrequent_edge_labels(), graphs)
+        return cls(fct_index, ife_index)
 
     # ------------------------------------------------------------------
     # queries
@@ -105,7 +109,6 @@ class IndexPair:
         graphs: Mapping[int, LabeledGraph],
         added_ids: Iterable[int],
         removed_ids: Iterable[int],
-        patterns: Mapping[int, LabeledGraph] | None = None,
     ) -> None:
         """Reconcile both indices with the post-batch database.
 
@@ -126,18 +129,29 @@ class IndexPair:
         current = {feature.key: feature for feature in fct_set.fcts()}
         for feature in fct_set.frequent_edges():
             current.setdefault(feature.key, feature)
-        # Embedding counts in the added graphs, where the FCT mine of Δ⁺
-        # enumerated them.
+        # A kept feature is the pool's own tree, whose cover the FCT
+        # maintenance extended in place; a key the pool re-mined as a
+        # new tree is re-added.
+        kept = {
+            feature.key
+            for feature in self.fct.features()
+            if current.get(feature.key) is feature
+        }
+        stale_keys = self.fct.feature_keys() - kept
+        for key in stale_keys:
+            self.fct.remove_feature(key)
+        # Columns for newly added graphs over the kept features, with the
+        # embedding counts the FCT mine of Δ⁺ enumerated (the features
+        # added below scan their whole cover, new graphs too).
         mined_counts = {}
         for graph_id in added:
             graph = graphs.get(graph_id)
-            if graph is not None:
-                counts = fct_set.delta_counts(graph_id, graph)
-                if counts is not None:
-                    mined_counts[graph_id] = counts
-        stale_keys = self.fct.feature_keys() - set(current)
-        for key in stale_keys:
-            self.fct.remove_feature(key)
+            if graph is None:
+                continue
+            counts = fct_set.delta_counts(graph_id, graph)
+            if counts is not None:
+                mined_counts[graph_id] = counts
+            self.fct.add_graph(graph_id, graph, known=counts)
         new_keys = set(current) - self.fct.feature_keys()
         for key in new_keys:
             self.fct.add_feature(
@@ -151,41 +165,13 @@ class IndexPair:
             )
         registry.counter("index.features_added").add(len(new_keys))
         registry.counter("index.features_removed").add(len(stale_keys))
-        # Columns for newly added graphs (features already present get
-        # their counts here; features added above already scanned them).
-        for graph_id in added:
-            graph = graphs.get(graph_id)
-            if graph is None:
-                continue
-            counts = mined_counts.get(graph_id, {})
-            for key in self.fct.feature_keys() - new_keys:
-                feature = current[key]
-                if graph_id not in feature.cover:
-                    continue
-                count = counts.get(key)
-                if count is None:
-                    count = count_embeddings(
-                        graph, feature.tree, limit=EMBEDDING_COUNT_CAP
-                    )
-                count = min(count, EMBEDDING_COUNT_CAP)
-                if count:
-                    self.fct.tg.set(key, graph_id, count)
         # IFE side: refresh the infrequent label set, then new columns.
-        self.ife.set_edge_labels(
-            fct_set.infrequent_edge_labels(), graphs, patterns
-        )
+        self.ife.set_edge_labels(fct_set.infrequent_edge_labels(), graphs)
         for graph_id in added:
             graph = graphs.get(graph_id)
             if graph is not None:
                 self.ife.add_graph(graph_id, graph)
 
-    def sync_patterns(self, patterns: Mapping[int, LabeledGraph]) -> None:
-        """Reconcile TP/EP columns with the current canned pattern set."""
-        current = set(patterns)
-        for pattern_id in self._pattern_ids - current:
-            self.fct.remove_pattern(pattern_id)
-            self.ife.remove_pattern(pattern_id)
-        for pattern_id in current - self._pattern_ids:
-            self.fct.add_pattern(pattern_id, patterns[pattern_id])
-            self.ife.add_pattern(pattern_id, patterns[pattern_id])
-        self._pattern_ids = current
+    def sync_patterns(self, patterns: Iterable[LabeledGraph]) -> None:
+        """Reconcile the TP columns with the displayed *patterns*."""
+        self.fct.sync_patterns(patterns)

@@ -1,7 +1,7 @@
 """Sparse count matrices with named rows and columns.
 
-The FCT- and IFE-indices of MIDAS store embedding counts in four sparse
-matrices (TG, TP, EG, EP — paper, Section 5.1).  MIDAS keeps only the
+The FCT- and IFE-indices of MIDAS store embedding counts in sparse
+matrices (TG, TP and EG — paper, Section 5.1).  MIDAS keeps only the
 non-zero entries as ``(row, column, value)`` triplets; this module
 provides the equivalent structure as a dict-of-dicts keyed by arbitrary
 hashable row/column identifiers, with O(1) updates and O(row) / O(col)

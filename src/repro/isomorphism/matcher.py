@@ -5,7 +5,7 @@ These helpers express the idioms used throughout the paper:
 * ``contains(host, pattern)`` — does a data graph / query contain a
   subgraph isomorphic to a pattern?  (coverage, MP computation)
 * ``count_embeddings`` — number of embeddings, used to populate the
-  TG/TP/EG/EP matrices of the FCT- and IFE-indices (Section 5.1).
+  TG/TP matrices of the FCT-Index (Section 5.1).
 * ``covered_graphs`` — the set ``G_p ⊆ D`` of data graphs containing a
   pattern, the building block of subgraph coverage ``scov``.
 """

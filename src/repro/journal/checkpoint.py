@@ -64,10 +64,15 @@ class _CheckpointUnpickler(pickle.Unpickler):
     (``repro.covindex``, since deleted) pickle it inside their
     :class:`~repro.patterns.metrics.CoverageOracle`; its globals load as
     :class:`_Retired` and the oracle discards the engine on revival.
+    Those from before the FCT-Index dropped its token trie
+    (``repro.index.trie``, since deleted) revive it the same way, and
+    the index discards it.
     """
 
     def find_class(self, module: str, name: str):
-        if module == "repro.covindex" or module.startswith("repro.covindex."):
+        if module in ("repro.covindex", "repro.index.trie") or (
+            module.startswith("repro.covindex.")
+        ):
             return _Retired
         return super().find_class(module, name)
 

@@ -7,7 +7,7 @@ from .baselines import (
     from_scratch,
     maintenance_report_summary,
 )
-from .config import MaintenanceThresholds, MidasConfig
+from .config import MidasConfig
 from .detector import Classification, ModificationDetector, ModificationType
 from .history import HistoryEntry, MaintenanceHistory
 from .maintainer import MaintenanceReport, Midas
@@ -22,7 +22,6 @@ __all__ = [
     "HistoryEntry",
     "MaintenanceHistory",
     "MaintenanceReport",
-    "MaintenanceThresholds",
     "Midas",
     "MidasConfig",
     "ModificationDetector",

@@ -3,7 +3,7 @@
 Extends the CATAPULT configuration with the maintenance-specific knobs of
 the paper (Section 7.1 parameter settings): the evolution ratio threshold
 ε, the swapping thresholds κ and λ (the paper sets λ = κ), the GFD
-distance measure, and the KS-test significance level.
+distance measure and the swap-scan controls.
 
 Note on ε scale: the paper's default ε = 0.1 is calibrated to its
 datasets.  The synthetic databases here are smaller and their GFDs
@@ -59,21 +59,4 @@ class MidasConfig(CatapultConfig):
             raise ValueError("tray sizes must be non-negative")
 
 
-@dataclass
-class MaintenanceThresholds:
-    """The runtime thresholds a single maintenance round operates with."""
-
-    epsilon: float = 0.002
-    kappa: float = 0.1
-    lambda_: float = 0.1
-
-    @classmethod
-    def from_config(cls, config: MidasConfig) -> "MaintenanceThresholds":
-        return cls(
-            epsilon=config.epsilon,
-            kappa=config.kappa,
-            lambda_=config.lambda_,
-        )
-
-
-__all__ = ["MaintenanceThresholds", "MidasConfig"]
+__all__ = ["MidasConfig"]

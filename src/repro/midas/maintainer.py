@@ -140,7 +140,7 @@ class Midas:
                 num_paths=config.tray_paths,
             )
         if self.index_pair is not None:
-            self.index_pair.sync_patterns(self.patterns.graphs())
+            self.index_pair.sync_patterns(self.pattern_graphs())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -394,7 +394,6 @@ class Midas:
                     graphs,
                     added_ids=record.inserted_ids,
                     removed_ids=removed_ids,
-                    patterns=self.patterns.graphs(),
                 )
 
         # Sample and oracle follow the database.
@@ -463,13 +462,13 @@ class Midas:
             with span("swap"):
                 swap_outcome = self._run_swap(promising, pruning.panel)
 
-        # Line 12: reconcile the pattern-side (TP/EP) columns with the
-        # possibly-swapped pattern set.
+        # Line 12: reconcile the TP columns with the possibly-swapped
+        # pattern set.
         trip("midas.index_sync")
         budget_check("midas.index_sync")
         if self.index_pair is not None:
             with span("index"):
-                self.index_pair.sync_patterns(self.patterns.graphs())
+                self.index_pair.sync_patterns(self.pattern_graphs())
 
         if check_enabled():
             # A violation raises out of the round body, so the

@@ -3,8 +3,8 @@
 A *canned pattern* is a small connected labelled graph displayed on the
 visual query interface; the GUI exposes γ of them at a time (paper,
 Sections 1–2).  :class:`PatternSet` is the mutable collection MIDAS
-maintains: patterns carry stable integer IDs (used as TP/EP matrix
-columns) and a provenance tag recording which algorithm produced them.
+maintains: patterns carry stable integer IDs and a provenance tag
+recording which algorithm produced them.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class PatternSet:
 
     def ids(self) -> list[int]:
         return sorted(self._patterns)
-
-    def graphs(self) -> dict[int, LabeledGraph]:
-        """Mapping pattern-ID → graph (the view index columns use)."""
-        return {pid: p.graph for pid, p in self._patterns.items()}
 
     def patterns(self) -> list[CannedPattern]:
         return list(self)

@@ -3,8 +3,8 @@
 A deployed GUI needs its displayed panel to survive restarts and be
 shippable between the maintenance backend and the interface frontend.
 These helpers serialise a :class:`~repro.patterns.pattern.PatternSet`
-(IDs, provenance and graphs) to JSON and back, preserving pattern IDs so
-index TP/EP columns stay valid across a reload.
+(IDs, provenance and graphs) to JSON and back, preserving pattern IDs
+across a reload.
 """
 
 from __future__ import annotations

@@ -3,9 +3,7 @@
 CATAPULT/CATAPULT++ represent frequent (closed) trees by canonical trees
 and canonical strings: trees are normalised, then serialised by a
 top-down, level-by-level breadth-first scan in which the symbol ``$``
-separates families of siblings (paper, Sections 4.2 and 5.1).  The
-canonical string doubles as the token sequence inserted into the
-FCT-Index trie.
+separates families of siblings (paper, Sections 4.2 and 5.1).
 
 The normalisation here is the classic AHU scheme extended with vertex
 labels:

@@ -40,7 +40,6 @@ from ..resilience.faults import trip
 from .canonical import (
     TreeCode,
     canonical_order,
-    canonical_tokens,
     renumbered,
     tree_certificate,
 )
@@ -81,10 +80,6 @@ class MinedTree:
     @property
     def num_edges(self) -> int:
         return self.tree.num_edges
-
-    def tokens(self) -> list[str]:
-        """Canonical string tokens (for the FCT-Index trie)."""
-        return canonical_tokens(self.tree)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,6 +31,8 @@ from repro.datasets import aids_like, family_injection
 from repro.exceptions import JournalCorruption, JournalError, RolledBack
 from repro.execution import ExecutionConfig
 from repro.graph.canonical import canonical_certificate
+from repro.graph.database import BatchUpdate
+from repro.index import IndexPair, SparseCountMatrix
 from repro.journal import (
     Journal,
     iter_frames,
@@ -51,7 +53,7 @@ from repro.serve.service import PatternService
 from .conftest import make_graph
 
 
-def make_midas(seed: int = 5):
+def make_midas(seed: int = 5, **config):
     """A cheap bootstrapped maintainer (~1s) for journal-level tests."""
     return api.bootstrap(
         aids_like(20, seed=11),
@@ -60,6 +62,7 @@ def make_midas(seed: int = 5):
             num_clusters=3,
             sample_cap=40,
             seed=seed,
+            **config,
         ),
     )
 
@@ -427,6 +430,62 @@ class TestCheckpoint:
         report = revived.apply_update(family_injection(4, seed=2))
         assert not report.aborted
         assert len(revived.database) == size + 4
+
+    def test_checkpoint_with_the_retired_pattern_columns_loads(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoints written before TP was keyed by certificate pickle
+        a token trie from a module that no longer exists, TP columns
+        keyed by pattern ID, an IFE EP matrix and the pair's pattern
+        IDs.  Such a maintainer loads without them, and a round with an
+        unchanged panel refills TP as a fresh build would."""
+        trie_module = types.ModuleType("repro.index.trie")
+        trie_module.TokenTrie = type(
+            "TokenTrie", (), {"__module__": trie_module.__name__}
+        )
+        midas = make_midas(epsilon=1.0)  # every round is minor
+        pair = midas.index_pair
+        ids = {p.pattern_id: p.graph for p in midas.patterns}
+        pair.fct.trie = trie_module.TokenTrie()
+        pair.fct.tp = SparseCountMatrix()
+        for feature in pair.fct.features():
+            for pattern_id, graph in ids.items():
+                pair.fct.tp.set(feature.key, pattern_id, 1)
+        del pair.fct._patterns
+        pair.ife.ep = SparseCountMatrix()
+        pair.ife.ep.set(("C", "N"), next(iter(ids)), 1)
+        pair._pattern_ids = set(ids)
+        with monkeypatch.context() as patched:
+            patched.setitem(sys.modules, trie_module.__name__, trie_module)
+            write_checkpoint(
+                tmp_path,
+                checkpoint_id=0,
+                midas=midas,
+                version=1,
+                last_update_id=0,
+                next_update_id=1,
+            )
+        revived = load_latest_checkpoint(tmp_path).midas
+        pair = revived.index_pair
+        assert revived.oracle._index_pair is pair
+        assert "trie" not in vars(pair.fct)
+        assert "ep" not in vars(pair.ife)
+        assert "_pattern_ids" not in vars(pair)
+        assert pair.fct.tp.nnz() == 0
+        panel = sorted(map(canonical_certificate, revived.pattern_graphs()))
+        copy = next(iter(revived.database.graphs())).copy()
+        report = revived.apply_update(BatchUpdate.of(insertions=[copy]))
+        assert not report.aborted
+        assert not report.is_major
+        assert sorted(
+            map(canonical_certificate, revived.pattern_graphs())
+        ) == panel
+        fresh = IndexPair.build(
+            revived.fct_set, dict(revived.database.items())
+        )
+        fresh.sync_patterns(revived.pattern_graphs())
+        for key in panel:
+            assert pair.fct.tp.column(key) == fresh.fct.tp.column(key)
 
     def test_invalid_latest_falls_back(self, tmp_path):
         midas = make_midas()

@@ -11,6 +11,7 @@ from repro.isomorphism import contains, covered_graphs
 from repro.trees import (
     TreeMiner,
     canonical_string,
+    canonical_tokens,
     mine_closed_trees,
     mine_frequent_trees,
 )
@@ -120,5 +121,5 @@ class TestMiner:
 
     def test_mined_tree_tokens(self, mined):
         for tree in mined:
-            tokens = tree.tokens()
+            tokens = canonical_tokens(tree.tree)
             assert tokens[0] != "$"
