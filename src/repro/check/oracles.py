@@ -48,6 +48,7 @@ from ..csg.summary import SummaryGraph, build_csg
 from ..ged import ged
 from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph, edge_key
+from ..index.fct_index import EMBEDDING_COUNT_CAP
 from ..index.maintenance import IndexPair
 from ..isomorphism.matcher import contains, count_embeddings
 from ..midas.pruning import PruningContext
@@ -188,11 +189,36 @@ def _index_pair_state(
     return (rows, labels, postings, columns)
 
 
+def _tg_vs_vf2(
+    pair: IndexPair, view: Mapping[int, LabeledGraph]
+) -> dict | None:
+    """The first TG cell that differs from a literal, capped VF2 count
+    of its feature in its graph, over every feature and graph of *view*."""
+    for feature in pair.fct.features():
+        row = pair.fct.tg.row(feature.key)
+        for graph_id, graph in sorted(view.items()):
+            cell = row.get(graph_id, 0)
+            expected = min(
+                count_embeddings(graph, feature.tree), EMBEDDING_COUNT_CAP
+            )
+            if cell != expected:
+                return {
+                    "feature": repr(feature.key),
+                    "graph": graph_id,
+                    "tg": cell,
+                    "vf2": expected,
+                }
+    return None
+
+
 def index_oracle(workload: Workload) -> Mismatch | None:
     """Incremental FCT/index maintenance vs rebuild per view.
 
     The first half of the workload's patterns is the displayed panel,
-    so the TP columns are compared as well as the TG/EG rows.
+    so the TP columns are compared as well as the TG/EG rows.  The
+    rebuild reads the same mined embedding counts as the incremental
+    path, so every TG cell is also compared with a literal VF2 count,
+    after the first build and after every batch.
 
     Precondition (enforced by the generator hints): deletions per batch
     stay well under half the view, the Lemma 3.4/4.5 regime in which the
@@ -205,6 +231,9 @@ def index_oracle(workload: Workload) -> Mismatch | None:
     incremental = FCTSet(views[0], sup_min=FCT_SUP_MIN)
     pair = IndexPair.build(incremental, views[0])
     pair.sync_patterns(displayed)
+    wrong = _tg_vs_vf2(pair, views[0])
+    if wrong is not None:
+        return Mismatch("index", "tg_vs_vf2", {"view": 0, **wrong})
     current = dict(views[0])
     for step, batch in enumerate(workload.batches):
         view = views[step + 1]
@@ -239,6 +268,9 @@ def index_oracle(workload: Workload) -> Mismatch | None:
                 "index_pair_incremental_vs_rebuild",
                 {"view": step + 1},
             )
+        wrong = _tg_vs_vf2(pair, view)
+        if wrong is not None:
+            return Mismatch("index", "tg_vs_vf2", {"view": step + 1, **wrong})
         current = dict(view)
     return None
 
@@ -1196,8 +1228,8 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "index",
-            "incremental FCT/FCT-IFE maintenance vs rebuild "
-            "(bounded-deletion regime)",
+            "incremental FCT/FCT-IFE maintenance vs rebuild, TG cells "
+            "vs VF2 counts (bounded-deletion regime)",
             index_oracle,
             {
                 "num_graphs": 5,

@@ -5,7 +5,8 @@ vectors, fine MCCS-based splitting of oversized clusters) and the cluster
 maintenance of MIDAS (paper, Section 4.3 and Algorithm 1, lines 1–2, 6):
 
 * a newly inserted graph is assigned to the cluster whose centroid is
-  nearest to the graph's feature vector;
+  nearest to the graph's feature vector, read from the feature covers
+  that FCT maintenance has already extended over it;
 * a deleted graph simply leaves its cluster;
 * clusters pushed past the maximum size N are fine-split in place.
 
@@ -142,21 +143,21 @@ class ClusterSet:
     # maintenance
     # ------------------------------------------------------------------
     def assign(
-        self,
-        graph_id: int,
-        graph: LabeledGraph,
-        graphs: Mapping[int, LabeledGraph] | None = None,
+        self, graph_id: int, graphs: Mapping[int, LabeledGraph]
     ) -> int:
         """Assign a new graph to the nearest cluster (Algorithm 1, line 1).
 
-        *graphs* supplies member graphs for fine-splitting when the
-        target cluster overflows; without it the overflow split degrades
-        to an arbitrary balanced cut.
+        Precondition: the feature space's cover sets already hold
+        *graph_id* wherever the graph contains the feature, so its
+        vector is a cover lookup.  FCT maintenance meets it by running
+        before assignment, with :meth:`refresh_feature_space` in
+        between.  *graphs* supplies member graphs for fine-splitting
+        when the target cluster overflows.
         """
         if graph_id in self._membership:
             raise ValueError(f"graph {graph_id} is already clustered")
         _ASSIGNMENTS.add(1)
-        vector = self.feature_space.vector_for_graph(graph)
+        vector = self.feature_space.vector_for_known(graph_id)
         self._vectors[graph_id] = vector
         if not self._clusters:
             return self._new_cluster({graph_id})
@@ -191,26 +192,18 @@ class ClusterSet:
         return cluster_id
 
     def _split(
-        self, cluster_id: int, graphs: Mapping[int, LabeledGraph] | None
+        self, cluster_id: int, graphs: Mapping[int, LabeledGraph]
     ) -> None:
         _FINE_SPLITS.add(1)
         members = sorted(self._clusters[cluster_id])
-        if graphs is not None:
-            parts = fine_split(members, graphs, self.max_cluster_size)
-        else:
-            parts = [
-                set(members[i : i + self.max_cluster_size])
-                for i in range(0, len(members), self.max_cluster_size)
-            ]
+        parts = fine_split(members, graphs, self.max_cluster_size)
         del self._clusters[cluster_id]
         del self._sums[cluster_id]
         self.touched_removed.add(cluster_id)
         for part in parts:
             self._new_cluster(part)
 
-    def refresh_feature_space(
-        self, feature_space: FeatureSpace, known_ids: bool = True
-    ) -> None:
+    def refresh_feature_space(self, feature_space: FeatureSpace) -> None:
         """Swap in a new feature space (after FCT maintenance).
 
         Vectors and centroid sums are recomputed from the new features'
@@ -224,4 +217,3 @@ class ClusterSet:
             for graph_id in members:
                 total += self._vectors[graph_id]
             self._sums[cluster_id] = total
-        _ = known_ids

@@ -26,7 +26,7 @@ The index serves two purposes in MIDAS:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from ..graph.canonical import Certificate, canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
@@ -43,6 +43,10 @@ from .sparse import SparseCountMatrix
 EMBEDDING_COUNT_CAP = 64
 
 _COVER_CALLS = BoundCounter("vf2.cover_calls")
+
+#: Embedding counts a tree mine recorded in a graph, keyed by feature,
+#: or None for a graph it did not see (``FCTSet.mined_counts``).
+MinedCounts = Callable[[int, LabeledGraph], Mapping[TreeCode, int] | None]
 
 
 def count_embeddings(
@@ -93,15 +97,16 @@ class FCTIndex:
         cls,
         features: Iterable[MinedTree],
         graphs: Mapping[int, LabeledGraph],
+        mined: MinedCounts | None = None,
     ) -> "FCTIndex":
         """Index *features* over *graphs*.
 
-        Embedding counting is restricted to each feature's cover set, so
+        TG cells are filled over each feature's cover set only, so
         construction cost follows the covers rather than |F| × |D|.
         """
         index = cls()
         for feature in features:
-            index.add_feature(feature, graphs)
+            index.add_feature(feature, graphs, mined)
         return index
 
     # ------------------------------------------------------------------
@@ -111,22 +116,21 @@ class FCTIndex:
         self,
         feature: MinedTree,
         graphs: Mapping[int, LabeledGraph],
-        known: Mapping[int, int] | None = None,
+        mined: MinedCounts | None = None,
     ) -> None:
         """Insert a feature: its TG row from its cover set, and its TP
         row over the displayed patterns.
 
-        *known* holds exact embedding counts already at hand for some
-        graphs; only the others are counted here.
+        TG cells are read from *mined* where it has them (see
+        :meth:`_set_tg`).
         """
         if feature.key in self._features:
             self.remove_feature(feature.key)
         self._features[feature.key] = feature
-        known = known or {}
         for graph_id in feature.cover:
             graph = graphs.get(graph_id)
             if graph is not None:
-                self._set_tg(feature, graph_id, graph, known.get(graph_id))
+                self._set_tg(feature, graph_id, graph, mined)
         for pattern_key, pattern in self._patterns.items():
             count = count_embeddings(pattern, feature.tree)
             if count:
@@ -159,18 +163,17 @@ class FCTIndex:
         self,
         graph_id: int,
         graph: LabeledGraph,
-        known: Mapping[TreeCode, int] | None = None,
+        mined: MinedCounts | None = None,
     ) -> None:
         """Fill the TG column of a newly inserted data graph.
 
-        Only features whose cover holds *graph_id* embed in it.  *known*
-        holds exact embedding counts already at hand for some features;
-        only the others are counted here.
+        Only features whose cover holds *graph_id* embed in it.  TG
+        cells are read from *mined* where it has them (see
+        :meth:`_set_tg`).
         """
-        known = known or {}
-        for key, feature in self._features.items():
+        for feature in self._features.values():
             if graph_id in feature.cover:
-                self._set_tg(feature, graph_id, graph, known.get(key))
+                self._set_tg(feature, graph_id, graph, mined)
 
     def remove_graph(self, graph_id: int) -> None:
         self.tg.remove_column(graph_id)
@@ -180,8 +183,12 @@ class FCTIndex:
         feature: MinedTree,
         graph_id: int,
         graph: LabeledGraph,
-        count: int | None,
+        mined: MinedCounts | None,
     ) -> None:
+        """One TG cell: the count the last exact mine recorded for
+        (*graph*, *feature*), else a VF2 count."""
+        counts = mined(graph_id, graph) if mined is not None else None
+        count = counts.get(feature.key) if counts is not None else None
         if count is None:
             count = count_embeddings(graph, feature.tree)
         count = min(count, EMBEDDING_COUNT_CAP)

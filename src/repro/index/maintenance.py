@@ -25,7 +25,9 @@ from collections.abc import Iterable, Mapping
 from ..graph.labeled_graph import EdgeLabel, LabeledGraph
 from ..isomorphism.invariants import prune_by_counts
 from ..obs import BoundCounter, get_registry
+from ..trees.canonical import tree_certificate
 from ..trees.maintenance import FCTSet
+from ..trees.mining import edge_tree
 from .fct_index import FCTIndex
 from .ife_index import IFEIndex
 
@@ -58,7 +60,7 @@ class IndexPair:
             for edge in fct_set.frequent_edges()
             if not edge.closed  # closed single edges already included
         ]
-        fct_index = FCTIndex.build(features, graphs)
+        fct_index = FCTIndex.build(features, graphs, fct_set.mined_counts)
         ife_index = IFEIndex.build(fct_set.infrequent_edge_labels(), graphs)
         return cls(fct_index, ife_index)
 
@@ -73,13 +75,9 @@ class IndexPair:
         caller to fall back to a direct scan (only possible for labels
         that appeared after the last reconciliation).
         """
-        for feature in self.fct.features():
-            if feature.num_edges != 1:
-                continue
-            tree = feature.tree
-            u, v = next(tree.edges())
-            if tree.edge_label(u, v) == label:
-                return self.fct.graphs_with_feature(feature.key)
+        key = tree_certificate(edge_tree(label))
+        if key in self.fct:
+            return self.fct.graphs_with_feature(key)
         if self.ife.is_indexed(label):
             return self.ife.graphs_with_edge(label)
         return None
@@ -140,29 +138,16 @@ class IndexPair:
         stale_keys = self.fct.feature_keys() - kept
         for key in stale_keys:
             self.fct.remove_feature(key)
-        # Columns for newly added graphs over the kept features, with the
-        # embedding counts the FCT mine of Δ⁺ enumerated (the features
-        # added below scan their whole cover, new graphs too).
-        mined_counts = {}
+        # Columns for newly added graphs over the kept features (the
+        # features added below fill their whole cover, new graphs too),
+        # with the embedding counts the FCT mine of Δ⁺ enumerated.
         for graph_id in added:
             graph = graphs.get(graph_id)
-            if graph is None:
-                continue
-            counts = fct_set.delta_counts(graph_id, graph)
-            if counts is not None:
-                mined_counts[graph_id] = counts
-            self.fct.add_graph(graph_id, graph, known=counts)
+            if graph is not None:
+                self.fct.add_graph(graph_id, graph, fct_set.mined_counts)
         new_keys = set(current) - self.fct.feature_keys()
         for key in new_keys:
-            self.fct.add_feature(
-                current[key],
-                graphs,
-                known={
-                    graph_id: counts[key]
-                    for graph_id, counts in mined_counts.items()
-                    if key in counts
-                },
-            )
+            self.fct.add_feature(current[key], graphs, fct_set.mined_counts)
         registry.counter("index.features_added").add(len(new_keys))
         registry.counter("index.features_removed").add(len(stale_keys))
         # IFE side: refresh the infrequent label set, then new columns.

@@ -356,13 +356,12 @@ class Midas:
             feature_space = FeatureSpace(features)
             self.clusters.refresh_feature_space(feature_space)
 
-        # Lines 1 + 6-7: insertions join clusters and CSGs.
+        # Lines 1 + 6-7: insertions join clusters and CSGs; their
+        # feature vectors read the covers the FCT step just extended.
         with span("clusters"):
             assignments: dict[int, int] = {}
-            for graph_id, graph in added.items():
-                assignments[graph_id] = self.clusters.assign(
-                    graph_id, graph, graphs
-                )
+            for graph_id in added:
+                assignments[graph_id] = self.clusters.assign(graph_id, graphs)
         trip("midas.csg")
         budget_check("midas.csg")
         with span("csg"):

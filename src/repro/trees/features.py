@@ -3,20 +3,18 @@
 CATAPULT's coarse clustering runs k-means on per-graph feature vectors
 whose dimensions are frequent subtrees; CATAPULT++/MIDAS use frequent
 closed trees instead (paper, Sections 2.3 and 3.3).  Because the miners
-in :mod:`repro.trees.mining` track exact cover sets, building the binary
-occurrence matrix is a lookup, and vectors for *new* graphs (cluster
-assignment during maintenance, Algorithm 1 line 1) need only
-|features| containment tests.
+in :mod:`repro.trees.mining` track exact cover sets, every vector is a
+cover lookup: FCT maintenance puts a *new* graph in the covers of the
+features it holds before the graph is assigned to a cluster (Algorithm
+1, line 1), so no vector needs a containment test.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from ..graph.labeled_graph import LabeledGraph
-from ..isomorphism.matcher import contains
 from .mining import MinedTree
 
 
@@ -44,18 +42,11 @@ class FeatureSpace:
         return list(self._features)
 
     def vector_for_known(self, graph_id: int) -> np.ndarray:
-        """Vector of a graph already covered by the mined cover sets."""
+        """Vector of a graph the features' cover sets already account
+        for."""
         vector = np.zeros(len(self._features), dtype=np.float64)
         for i, feature in enumerate(self._features):
             if graph_id in feature.cover:
-                vector[i] = 1.0
-        return vector
-
-    def vector_for_graph(self, graph: LabeledGraph) -> np.ndarray:
-        """Vector of an arbitrary graph via containment tests."""
-        vector = np.zeros(len(self._features), dtype=np.float64)
-        for i, feature in enumerate(self._features):
-            if contains(graph, feature.tree):
                 vector[i] = 1.0
         return vector
 
@@ -65,17 +56,5 @@ class FeatureSpace:
             (len(graph_ids), len(self._features)), dtype=np.float64
         )
         for row, graph_id in enumerate(graph_ids):
-            for col, feature in enumerate(self._features):
-                if graph_id in feature.cover:
-                    matrix[row, col] = 1.0
+            matrix[row] = self.vector_for_known(graph_id)
         return matrix
-
-    def matrix_for_graphs(
-        self, graphs: Mapping[int, LabeledGraph]
-    ) -> tuple[list[int], np.ndarray]:
-        """IDs (sorted) and matrix for graphs not in the cover sets."""
-        ids = sorted(graphs)
-        matrix = np.zeros((len(ids), len(self._features)), dtype=np.float64)
-        for row, graph_id in enumerate(ids):
-            matrix[row] = self.vector_for_graph(graphs[graph_id])
-        return ids, matrix

@@ -157,21 +157,21 @@ class FCTSet:
         self._graphs: dict[int, LabeledGraph] = dict(graphs)
         self._pool: dict[TreeCode, MinedTree] = {}
         self._memo: GrowthMemo = {}
-        self._delta_counts: dict[int, tuple[LabeledGraph, dict[TreeCode, int]]] = {}
+        self._mined_counts: dict[int, tuple[LabeledGraph, dict[TreeCode, int]]] = {}
         self.rebuild()
 
     def __getstate__(self) -> dict:
-        # The growth memo is a cache and the Δ⁺ counts serve one index
-        # update: neither belongs in a snapshot or a checkpoint.
+        # The growth memo is a cache and the mined counts serve one index
+        # build or update: neither belongs in a snapshot or a checkpoint.
         state = dict(self.__dict__)
         state.pop("_memo", None)
-        state.pop("_delta_counts", None)
+        state.pop("_mined_counts", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._memo = {}
-        self._delta_counts = {}
+        self._mined_counts = {}
 
     # ------------------------------------------------------------------
     # inspection
@@ -231,17 +231,19 @@ class FCTSet:
         """Exact cover size of a pooled tree (KeyError if not pooled)."""
         return self._pool[key].support_count
 
-    def delta_counts(
+    def mined_counts(
         self, graph_id: int, graph: LabeledGraph
     ) -> Mapping[TreeCode, int] | None:
-        """Embedding counts in *graph* of the trees the last CTMiningAdd
-        mined, keyed by tree, or None when that add did not insert this
-        graph object or did not take its covers from the mine.
+        """Embedding counts in *graph* of the trees the last exact mine
+        found, keyed by tree, or None when that mine did not see this
+        graph object.
 
-        Counts are uncapped and exact for every pooled tree whose cover
-        holds *graph_id*.
+        The last mine is the rebuild's or the last CTMiningAdd's; a mine
+        that hit the embedding cap or was cut short by its budget, and a
+        deletion, leave no counts.  Counts are uncapped and exact for
+        every pooled tree whose cover holds *graph_id*.
         """
-        entry = self._delta_counts.get(graph_id)
+        entry = self._mined_counts.get(graph_id)
         if entry is None or entry[0] is not graph:
             return None
         return entry[1]
@@ -251,12 +253,14 @@ class FCTSet:
     # ------------------------------------------------------------------
     def rebuild(self) -> None:
         """Re-mine the pool from scratch at the relaxed threshold."""
+        self._mined_counts = {}
         if self._graphs:
             miner = TreeMiner(
                 self._graphs, self.relaxed_threshold, self.max_edges
             )
             self._pool = miner.mine(memo=self._memo)
             self._covers_exact = not miner.cap_hit
+            self._keep_counts(miner, self._graphs)
         else:
             self._pool = {}
             self._covers_exact = True
@@ -305,7 +309,7 @@ class FCTSet:
         duplicate_ids = set(new_graphs) & set(self._graphs)
         if duplicate_ids:
             raise ValueError(f"graph ids already present: {sorted(duplicate_ids)}")
-        self._delta_counts = {}
+        self._mined_counts = {}
         old_graphs = dict(self._graphs)
         # 1. Mine Δ⁺ at the relaxed threshold, growing only trees that
         #    can still be frequent in D ∪ Δ⁺.  While covers are exact the
@@ -393,11 +397,19 @@ class FCTSet:
         self._graphs.update(new_graphs)
         self._prune()
         if from_mine:
-            self._delta_counts = {
-                graph_id: (new_graphs[graph_id], counts)
-                for graph_id, counts in delta_miner.embedding_counts.items()
-            }
+            self._keep_counts(delta_miner, new_graphs)
         return True
+
+    def _keep_counts(
+        self, miner: TreeMiner, graphs: Mapping[int, LabeledGraph]
+    ) -> None:
+        """Keep *miner*'s embedding counts if its mine was exact."""
+        if miner.cap_hit or miner.degraded:
+            return
+        self._mined_counts = {
+            graph_id: (graphs[graph_id], counts)
+            for graph_id, counts in miner.embedding_counts.items()
+        }
 
     def _remove(self, graph_ids: Iterable[int]) -> bool:
         removed = set(graph_ids)
@@ -406,7 +418,7 @@ class FCTSet:
             raise ValueError(f"graph ids not present: {sorted(missing)}")
         if not removed:
             return False
-        self._delta_counts = {}
+        self._mined_counts = {}
         for graph_id in removed:
             del self._graphs[graph_id]
         for entry in self._pool.values():

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Any
 
 from ..exceptions import ResilienceError
-from ..graph.labeled_graph import Label, LabeledGraph
+from ..graph.labeled_graph import EdgeLabel, Label, LabeledGraph
 from ..obs import get_registry
 from ..resilience.budget import current_budget
 from ..resilience.degrade import anytime_degradation, degradation_enabled
@@ -104,11 +104,10 @@ class _Growing:
 
     ``embeddings`` maps each host to its embeddings, capped at the
     miner's ``embedding_cap``; trees at the ``max_edges`` frontier keep
-    none.  ``counts`` maps each host to its uncapped embedding count
-    when the mine records counts.  A grown tree's representative is
-    built only if it survives its level: until then ``mined.tree`` is
-    None and ``source`` holds (parent tree, attachment vertex, new
-    label, canonical order).
+    none.  ``counts`` maps each host to its uncapped embedding count.
+    A grown tree's representative is built only if it survives its
+    level: until then ``mined.tree`` is None and ``source`` holds
+    (parent tree, attachment vertex, new label, canonical order).
     """
 
     __slots__ = ("mined", "embeddings", "counts", "source")
@@ -124,6 +123,17 @@ class _Growing:
             tree, anchor, label, order = self.source
             self.mined.tree = renumbered(_extended(tree, anchor, label), order)
             self.source = None
+
+
+def edge_tree(label: EdgeLabel) -> LabeledGraph:
+    """The one-edge tree of an edge label in canonical order: the
+    smaller end label is vertex 0."""
+    first, second = sorted(label)
+    tree = LabeledGraph()
+    tree.add_vertex(0, first)
+    tree.add_vertex(1, second)
+    tree.add_edge(0, 1)
+    return tree
 
 
 def _extended(tree: LabeledGraph, anchor: int, label: Label) -> LabeledGraph:
@@ -175,9 +185,9 @@ class TreeMiner:
         # the (valid but possibly incomplete) anytime result.
         self.degraded = False
         #: Host → tree key → embedding count, for every returned tree,
-        #: filled by :meth:`mine` when it is given *pooled* keys.
+        #: filled by :meth:`mine`.  Exact unless :attr:`cap_hit` or
+        #: :attr:`degraded` is set.
         self.embedding_counts: dict[int, dict[TreeCode, int]] = {}
-        self._record_counts = False
 
     # ------------------------------------------------------------------
     @property
@@ -204,11 +214,7 @@ class TreeMiner:
                 pair = (labels[u], labels[v])
                 node = by_label.get(pair)
                 if node is None:
-                    # The smaller label first: an edge's canonical order.
-                    tree = LabeledGraph()
-                    tree.add_vertex(0, pair[0])
-                    tree.add_vertex(1, pair[1])
-                    tree.add_edge(0, 1)
+                    tree = edge_tree(pair)
                     key = tree_certificate(tree)
                     node = by_label[pair] = level[key] = _Growing(
                         MinedTree(tree=tree, key=key)
@@ -232,7 +238,6 @@ class TreeMiner:
         true.
         """
         cap = self.embedding_cap
-        record = self._record_counts
         for node, got in found.items():
             node.mined.cover.add(graph_id)
             if type(got) is int:
@@ -241,8 +246,7 @@ class TreeMiner:
                 count = len(got)
                 if keep:
                     node.embeddings[graph_id] = got if count <= cap else got[:cap]
-            if record:
-                node.counts[graph_id] = count
+            node.counts[graph_id] = count
 
     def _grow_level(
         self,
@@ -366,7 +370,9 @@ class TreeMiner:
         *pooled*, when given, names trees to keep and grow at any
         support: each one found is returned with its exact cover, as
         long as all its leaf-deleted subtrees are found and grown too.
-        The mine then also records :attr:`embedding_counts`.
+
+        Every returned tree's embedding count in each graph of its cover
+        is recorded in :attr:`embedding_counts`.
 
         *memo* carries child keys and canonical orders across mines; a
         fresh one is used when it is omitted.
@@ -381,7 +387,6 @@ class TreeMiner:
         min_count = self._min_count()
         memo = {} if memo is None else memo
         keep = pooled if pooled is not None else ()
-        self._record_counts = pooled is not None
         frequent: dict[TreeCode, _Growing] = {}
 
         def survivors(
@@ -424,10 +429,9 @@ class TreeMiner:
                 frequent.setdefault(key, node)
             self.degraded = True
             anytime_degradation("fct.mine")
-        if self._record_counts:
-            for key, node in frequent.items():
-                for graph_id, count in node.counts.items():
-                    self.embedding_counts.setdefault(graph_id, {})[key] = count
+        for key, node in frequent.items():
+            for graph_id, count in node.counts.items():
+                self.embedding_counts.setdefault(graph_id, {})[key] = count
         get_registry().counter("fct.trees_mined").add(len(frequent))
         return {key: node.mined for key, node in frequent.items()}
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import GraphDatabase, LabeledGraph
+from repro.trees import FeatureSpace
 
 
 def make_graph(labels: str, edges) -> LabeledGraph:
@@ -13,6 +14,15 @@ def make_graph(labels: str, edges) -> LabeledGraph:
     ``make_graph("COS", [(0, 1), (0, 2)])`` is the star C(-O)(-S).
     """
     return LabeledGraph.from_edges(dict(enumerate(labels)), edges)
+
+
+def insert_and_assign(clusters, fct_set, graphs, graph_id, graph) -> int:
+    """Insert *graph* as a maintenance round does: FCT maintenance
+    first, so the feature covers hold it, then cluster assignment."""
+    graphs[graph_id] = graph
+    fct_set.apply(added={graph_id: graph})
+    clusters.refresh_feature_space(FeatureSpace(fct_set.fcts()))
+    return clusters.assign(graph_id, graphs)
 
 
 @pytest.fixture

@@ -59,6 +59,7 @@ from repro.isomorphism import contains
 from repro.midas import Midas, MidasConfig
 from repro.patterns import PatternBudget
 from repro.resilience import Fault, inject_faults
+from repro.trees import FCTSet
 
 from .conftest import make_graph
 
@@ -172,6 +173,36 @@ class TestOracleRegistry:
     def test_oracle_passes_smoke_budget(self, name):
         report = run_oracle(name, seed=0, budget=2)
         assert report.ok, report.summary()
+
+    def test_index_oracle_catches_a_wrong_mined_count(self, monkeypatch):
+        """The index rebuild reads the same mined counts as the
+        incremental path, so only the literal VF2 reference sees a
+        wrong one."""
+        workload = Workload(
+            graphs={
+                0: make_graph("COS", [(0, 1), (0, 2)]),
+                1: make_graph("COO", [(0, 1), (0, 2)]),
+            },
+            patterns=(make_graph("CO", [(0, 1)]),),
+            batches=(
+                WorkloadBatch(added={2: make_graph("CO", [(0, 1)])}),
+            ),
+        )
+        oracle = get_oracle("index")
+        assert oracle.fn(workload) is None
+        mined_counts = FCTSet.mined_counts
+
+        def off_by_one(self, graph_id, graph):
+            counts = mined_counts(self, graph_id, graph)
+            if counts is None:
+                return None
+            return {key: count + 1 for key, count in counts.items()}
+
+        monkeypatch.setattr(FCTSet, "mined_counts", off_by_one)
+        mismatch = oracle.fn(workload)
+        assert mismatch is not None
+        assert mismatch.signature() == ("index", "tg_vs_vf2")
+        assert mismatch.detail["tg"] == mismatch.detail["vf2"] + 1
 
 
 

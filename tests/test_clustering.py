@@ -5,13 +5,17 @@ import pytest
 from repro.clustering import ClusterSet, fine_split
 from repro.trees import FCTSet, FeatureSpace
 
-from .conftest import make_graph
+from .conftest import insert_and_assign, make_graph
 
 
 @pytest.fixture
-def setup(paper_db):
+def fct_set(paper_db):
+    return FCTSet(dict(paper_db.items()), sup_min=3 / 9, max_edges=3)
+
+
+@pytest.fixture
+def setup(paper_db, fct_set):
     graphs = dict(paper_db.items())
-    fct_set = FCTSet(graphs, sup_min=3 / 9, max_edges=3)
     space = FeatureSpace(fct_set.fcts())
     clusters = ClusterSet.build(
         graphs, space, num_clusters=3, seed=0, max_cluster_size=5
@@ -76,11 +80,10 @@ class TestClusterBuild:
 
 
 class TestClusterMaintenance:
-    def test_assign_new_graph(self, setup):
+    def test_assign_new_graph(self, setup, fct_set):
         graphs, _, clusters = setup
         new_graph = make_graph("COO", [(0, 1), (0, 2)])
-        graphs[100] = new_graph
-        cid = clusters.assign(100, new_graph, graphs)
+        cid = insert_and_assign(clusters, fct_set, graphs, 100, new_graph)
         assert clusters.cluster_of(100) == cid
         assert 100 in clusters.members(cid)
         assert cid in clusters.touched_added
@@ -88,14 +91,13 @@ class TestClusterMaintenance:
     def test_assign_duplicate_rejected(self, setup):
         graphs, _, clusters = setup
         with pytest.raises(ValueError):
-            clusters.assign(0, graphs[0], graphs)
+            clusters.assign(0, graphs)
 
-    def test_assign_goes_to_similar_cluster(self, setup):
+    def test_assign_goes_to_similar_cluster(self, setup, fct_set):
         graphs, _, clusters = setup
         # A clone of G7 (O-C-O) should join G7's cluster.
         clone = make_graph("COO", [(0, 1), (0, 2)])
-        graphs[101] = clone
-        cid = clusters.assign(101, clone, graphs)
+        cid = insert_and_assign(clusters, fct_set, graphs, 101, clone)
         assert clusters.cluster_of(7) == cid
 
     def test_remove_graph(self, setup):
@@ -114,12 +116,11 @@ class TestClusterMaintenance:
             clusters.remove(gid)
         assert cid not in clusters.cluster_ids()
 
-    def test_overflow_triggers_split(self, setup):
+    def test_overflow_triggers_split(self, setup, fct_set):
         graphs, _, clusters = setup
         for i in range(10):
             g = make_graph("COO", [(0, 1), (0, 2)])
-            graphs[200 + i] = g
-            clusters.assign(200 + i, g, graphs)
+            insert_and_assign(clusters, fct_set, graphs, 200 + i, g)
         for cid in clusters.cluster_ids():
             assert len(clusters.members(cid)) <= 5
 

@@ -7,7 +7,7 @@ from repro.csg import CSGSet, SummaryGraph, build_csg
 from repro.isomorphism import contains
 from repro.trees import FCTSet, FeatureSpace
 
-from .conftest import make_graph
+from .conftest import insert_and_assign, make_graph
 
 
 class TestSummaryGraph:
@@ -95,9 +95,13 @@ class TestSummaryGraph:
 
 
 @pytest.fixture
-def cluster_setup(paper_db):
+def fct_set(paper_db):
+    return FCTSet(dict(paper_db.items()), sup_min=3 / 9, max_edges=3)
+
+
+@pytest.fixture
+def cluster_setup(paper_db, fct_set):
     graphs = dict(paper_db.items())
-    fct_set = FCTSet(graphs, sup_min=3 / 9, max_edges=3)
     space = FeatureSpace(fct_set.fcts())
     clusters = ClusterSet.build(graphs, space, 3, seed=0, max_cluster_size=5)
     csgs = CSGSet.build(clusters, graphs)
@@ -136,11 +140,10 @@ class TestCSGSet:
             csgs.detach(cid, member)
         assert cid not in csgs
 
-    def test_sync_rebuilds_mismatches(self, cluster_setup):
+    def test_sync_rebuilds_mismatches(self, cluster_setup, fct_set):
         graphs, clusters, csgs = cluster_setup
         new_graph = make_graph("COO", [(0, 1), (0, 2)])
-        graphs[300] = new_graph
-        cid = clusters.assign(300, new_graph, graphs)
+        cid = insert_and_assign(clusters, fct_set, graphs, 300, new_graph)
         csgs.sync_with_clusters(clusters, graphs)
         assert csgs.summary(cid).member_ids == clusters.members(cid)
 

@@ -465,7 +465,7 @@ class TestExtensionGrowth:
         fct_set.remove_graphs(list(graphs)[:4])
         assert set(fct_set._memo) <= set(fct_set._pool)
         state = pickle.loads(pickle.dumps(fct_set))
-        assert state._memo == {} and state._delta_counts == {}
+        assert state._memo == {} and state._mined_counts == {}
         assert pool_state(state._pool) == pool_state(fct_set._pool)
 
 
@@ -473,18 +473,43 @@ class TestDeltaCounts:
     def test_counts_cover_every_pooled_tree_in_new_graphs(self, fct_set):
         fct_set.add_graphs(DELTA)
         for graph_id, graph in DELTA.items():
-            counts = fct_set.delta_counts(graph_id, graph)
+            counts = fct_set.mined_counts(graph_id, graph)
             assert counts is not None
             for tree in fct_set.pool():
                 if graph_id in tree.cover:
                     assert counts[tree.key] == len(
                         find_embeddings(graph, tree.tree)
                     )
-        assert fct_set.delta_counts(100, DELTA[101]) is None
+        assert fct_set.mined_counts(100, DELTA[101]) is None
         fct_set.remove_graphs([100])
-        assert fct_set.delta_counts(101, DELTA[101]) is None
+        assert fct_set.mined_counts(101, DELTA[101]) is None
 
     def test_no_counts_without_exact_covers(self, fct_set):
         fct_set._covers_exact = False
         fct_set.add_graphs(DELTA)
-        assert fct_set.delta_counts(100, DELTA[100]) is None
+        assert fct_set.mined_counts(100, DELTA[100]) is None
+
+
+class TestRebuildCounts:
+    def test_rebuild_counts_every_pooled_tree(self, graphs, fct_set):
+        for graph_id, graph in graphs.items():
+            counts = fct_set.mined_counts(graph_id, graph)
+            assert counts is not None
+            for tree in fct_set.pool():
+                if graph_id in tree.cover:
+                    assert counts[tree.key] == len(
+                        find_embeddings(graph, tree.tree)
+                    )
+        assert fct_set.mined_counts(0, graphs[1]) is None
+
+    def test_capped_rebuild_keeps_no_counts(self, graphs, monkeypatch):
+        monkeypatch.setattr(
+            maintenance,
+            "TreeMiner",
+            functools.partial(TreeMiner, embedding_cap=1),
+        )
+        stars = dict(graphs)
+        stars[100] = make_graph("COOOO", [(0, 1), (0, 2), (0, 3), (0, 4)])
+        fct_set = FCTSet(stars, sup_min=3 / 10, max_edges=3)
+        assert not fct_set._covers_exact
+        assert fct_set.mined_counts(100, stars[100]) is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.isomorphism import contains
 from repro.trees import FCTSet, FeatureSpace
 
 from .conftest import make_graph
@@ -32,17 +33,34 @@ class TestFeatureSpace:
             for i, feature in enumerate(feature_space.features):
                 assert vector[i] == (1.0 if graph_id in feature.cover else 0.0)
 
-    def test_vector_for_graph_agrees_with_known(self, space, paper_db):
-        feature_space, _ = space
-        for graph_id, graph in paper_db.items():
-            known = feature_space.vector_for_known(graph_id)
-            computed = feature_space.vector_for_graph(graph)
-            assert np.array_equal(known, computed)
+    def test_vector_of_added_graph_agrees_with_vf2(self, space):
+        """A graph FCT maintenance has added reads the same vector from
+        the covers as literal containment tests give."""
+        _, fct_set = space
+        added = {
+            100: make_graph("COS", [(0, 1), (0, 2)]),
+            101: make_graph("CONS", [(0, 1), (1, 2), (0, 3)]),
+        }
+        fct_set.apply(added=added)
+        feature_space = FeatureSpace(fct_set.fcts())
+        assert len(feature_space)
+        for graph_id, graph in added.items():
+            literal = np.array(
+                [
+                    1.0 if contains(graph, feature.tree) else 0.0
+                    for feature in feature_space.features
+                ]
+            )
+            assert literal.any()
+            assert np.array_equal(
+                feature_space.vector_for_known(graph_id), literal
+            )
 
     def test_vector_for_unseen_graph(self, space):
-        feature_space, _ = space
-        stranger = make_graph("PP", [(0, 1)])
-        assert feature_space.vector_for_graph(stranger).sum() == 0.0
+        _, fct_set = space
+        fct_set.apply(added={100: make_graph("PP", [(0, 1)])})
+        feature_space = FeatureSpace(fct_set.fcts())
+        assert feature_space.vector_for_known(100).sum() == 0.0
 
     def test_matrix_for_known_row_order(self, space, paper_db):
         feature_space, _ = space
@@ -54,14 +72,7 @@ class TestFeatureSpace:
                 matrix[row], feature_space.vector_for_known(graph_id)
             )
 
-    def test_matrix_for_graphs_sorted_ids(self, space, paper_db):
-        feature_space, _ = space
-        graphs = dict(paper_db.items())
-        ids, matrix = feature_space.matrix_for_graphs(graphs)
-        assert ids == sorted(graphs)
-        assert matrix.shape[0] == len(ids)
-
     def test_empty_feature_space(self):
         space = FeatureSpace([])
         assert len(space) == 0
-        assert space.vector_for_graph(make_graph("CO", [(0, 1)])).shape == (0,)
+        assert space.vector_for_known(0).shape == (0,)

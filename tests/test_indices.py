@@ -74,7 +74,7 @@ class TestFCTIndex:
 
     def test_add_graph_column(self, setting, fct_index):
         """A new graph's TG column covers exactly the features whose
-        (maintained) cover holds it; known counts are not recounted."""
+        (maintained) cover holds it; mined counts are not recounted."""
         graphs, fct_set = setting
         new_graph = make_graph("COS", [(0, 1), (0, 2)])
         fct_set.apply(added={500: new_graph})
@@ -87,9 +87,9 @@ class TestFCTIndex:
         assert expected
         assert fct_index.tg.column(500) == expected
         fct_index.remove_graph(500)
-        known = dict.fromkeys(expected, 1)
-        fct_index.add_graph(500, new_graph, known=known)
-        assert fct_index.tg.column(500) == known
+        mined = dict.fromkeys(expected, 1)
+        fct_index.add_graph(500, new_graph, lambda graph_id, graph: mined)
+        assert fct_index.tg.column(500) == mined
         fct_index.remove_graph(500)
         assert fct_index.tg.column(500) == {}
 
@@ -154,6 +154,29 @@ class TestIndexPair:
         graphs, fct_set = setting
         pair = IndexPair.build(fct_set, graphs)
         assert pair.memory_bytes() > 0
+
+    def test_build_reads_bootstrap_counts(self, setting, monkeypatch):
+        """An exact bootstrap mine supplies every TG cell: no data graph
+        is counted with VF2, and the cells equal the capped VF2 counts."""
+        graphs, fct_set = setting
+        recount = fct_module.count_embeddings
+
+        def refuse_data_graphs(host, tree, limit=EMBEDDING_COUNT_CAP):
+            assert all(host is not graph for graph in graphs.values())
+            return recount(host, tree, limit)
+
+        monkeypatch.setattr(fct_module, "count_embeddings", refuse_data_graphs)
+        pair = IndexPair.build(fct_set, graphs)
+        cells = 0
+        for feature in pair.fct.features():
+            row = pair.fct.tg.row(feature.key)
+            for graph_id, graph in graphs.items():
+                expected = min(
+                    count_embeddings(graph, feature.tree), EMBEDDING_COUNT_CAP
+                )
+                assert row.get(graph_id, 0) == expected
+                cells += expected > 0
+        assert cells
 
     def test_edge_cover_dispatch(self, setting, paper_db):
         graphs, fct_set = setting
@@ -319,7 +342,7 @@ class TestIndexPair:
         for feature in pair.fct.features():
             row = pair.fct.tg.row(feature.key)
             for graph_id, graph in additions.items():
-                assert fct_set.delta_counts(graph_id, graph) is not None
+                assert fct_set.mined_counts(graph_id, graph) is not None
                 expected = min(
                     count_embeddings(graph, feature.tree),
                     EMBEDDING_COUNT_CAP,

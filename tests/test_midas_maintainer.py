@@ -9,6 +9,7 @@ from repro.datasets import (
     random_insertions,
 )
 from repro.graph import BatchUpdate
+from repro.isomorphism import contains
 from repro.midas import Midas, MidasConfig
 from repro.patterns import PatternBudget, PatternSet, pattern_set_quality
 
@@ -68,6 +69,29 @@ class TestMinorModification:
         for gid in report.inserted_ids:
             assert midas.clusters.cluster_of(gid) >= 0
         assert midas.fct_set.db_size == len(midas.database)
+
+    def test_assignment_reads_feature_covers(self, midas, monkeypatch):
+        """Inserted graphs are placed by the feature covers FCT
+        maintenance has just extended, with no containment test of
+        their own, and those vectors equal literal VF2 vectors."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cluster assignment ran VF2")
+
+        monkeypatch.setattr(
+            "repro.trees.features.contains", refuse, raising=False
+        )
+        update = random_insertions(midas.database, 3, seed=2)
+        report = midas.apply_update(update)
+        space = midas.clusters.feature_space
+        for gid in report.inserted_ids:
+            assert midas.clusters.cluster_of(gid) >= 0
+            graph = midas.database[gid]
+            literal = [
+                1.0 if contains(graph, feature.tree) else 0.0
+                for feature in space.features
+            ]
+            assert list(space.vector_for_known(gid)) == literal
 
     def test_deleted_graphs_leave_oracle_covers(self, midas):
         """Each round rebuilds the coverage oracle over the new sample:
